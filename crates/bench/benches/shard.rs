@@ -4,9 +4,9 @@
 //! One group per scale:
 //!
 //! - `shard_8` — the paper's 8-node testbed, 1×8 sharded vs flat. The
-//!   sharded path adds the arbiter, per-epoch grant checks and the
-//!   parallel_map plumbing; at one rack this is pure overhead and bounds
-//!   the abstraction cost.
+//!   sharded path adds the arbiter, per-epoch grant checks and the rack
+//!   bookkeeping (one rack is one part, run on the calling thread); at
+//!   one rack this is pure overhead and bounds the abstraction cost.
 //! - `shard_256` — 16 racks × 16 nodes vs a 256-node flat cluster. The
 //!   flat engine plans one 256-node allocation per re-plan; the sharded
 //!   engine plans sixteen 16-node allocations that execute in parallel.
@@ -15,7 +15,9 @@
 //!
 //! The point of sharding is not per-epoch speed at simulator scale — the
 //! simulated planner is linear, so one big plan is cheap, while the
-//! sharded path pays for per-epoch thread fan-out and 100 small plans.
+//! sharded path pays for 100 small plans and for handing each pool
+//! helper its part of the racks every epoch (the threads themselves are
+//! started once per campaign).
 //! The hierarchy buys per-rack budget arbitration (a *capability*, not a
 //! speedup) at a bounded, measured cost; these numbers pin that bound.
 //!

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Map `f` over `items` in parallel, preserving order. Falls back to a
-/// sequential loop for small inputs where spawning would dominate.
+/// sequential loop for small inputs, where spawning would dominate, and
+/// when the process may run on one CPU only.
 ///
 /// If `f` panics on any item, the first panic payload is re-raised on the
 /// calling thread verbatim — `assert!` messages from deep inside a sweep
@@ -27,14 +28,33 @@ where
     parallel_map_with(items, None, f)
 }
 
-/// [`parallel_map`] with an explicit worker count.
+/// How many workers a fan-out over `items` inputs runs on — the one rule
+/// [`parallel_map_with`] and the sharded fleet's rack pool
+/// (`clip_core::hierarchy`) share.
 ///
-/// `workers: None` keeps the default heuristic (sequential under 5 items,
-/// otherwise one thread per core); `Some(1)` forces the sequential path;
-/// `Some(k)` spawns `min(k, items.len())` threads even for small inputs.
-/// The schedule-independence replay tests drive the same sharded campaign
-/// through 1, 2 and N workers and assert byte-identical traces — the
-/// explicit count is what makes that sweep expressible.
+/// `Some(w)` asks for `w` workers; `None` runs sequentially under 5
+/// inputs and otherwise uses one worker per CPU the process may run on.
+/// Either way the count is clamped to `1..=items`, and 1 means the
+/// calling thread does all the work: no thread is spawned.
+pub fn worker_count(workers: Option<usize>, items: usize) -> usize {
+    resolve_workers(workers, items, || {
+        std::thread::available_parallelism().map_or(4, usize::from)
+    })
+}
+
+/// [`worker_count`] with the CPU count injected (read only when needed).
+fn resolve_workers(workers: Option<usize>, items: usize, cpus: impl FnOnce() -> usize) -> usize {
+    let wanted = match workers {
+        Some(w) => w,
+        None if items <= 4 => 1,
+        None => cpus(),
+    };
+    wanted.min(items).max(1)
+}
+
+/// [`parallel_map`] with an explicit worker count, resolved by
+/// [`worker_count`]: `Some(1)` forces the sequential path, and `Some(k)`
+/// spawns `min(k, items.len())` threads even for small inputs.
 pub fn parallel_map_with<T, R, F>(items: Vec<T>, workers: Option<usize>, f: F) -> Vec<R>
 where
     T: Send,
@@ -42,20 +62,10 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let sequential = match workers {
-        Some(w) => w <= 1 || n <= 1,
-        None => n <= 4,
-    };
-    if sequential {
+    let workers = worker_count(workers, n);
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let workers = match workers {
-        Some(w) => w.min(n),
-        None => std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n),
-    };
 
     // Work queue of (index, item); results gathered by index. Each call of
     // `f` runs under `catch_unwind`, so no lock is ever held across a
@@ -150,6 +160,23 @@ mod tests {
             let par = parallel_map_with(items.clone(), Some(workers), |x| x * 3);
             assert_eq!(par, seq, "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn worker_count_resolves_one_rule() {
+        let cpus = |n: usize| move || n;
+        // Explicit counts are clamped to 1..=items.
+        assert_eq!(resolve_workers(Some(1), 100, cpus(8)), 1);
+        assert_eq!(resolve_workers(Some(0), 100, cpus(8)), 1);
+        assert_eq!(resolve_workers(Some(3), 100, cpus(8)), 3);
+        assert_eq!(resolve_workers(Some(16), 5, cpus(8)), 5);
+        assert_eq!(resolve_workers(Some(2), 0, cpus(8)), 1);
+        // The default: sequential under 5 inputs, else one per CPU.
+        assert_eq!(resolve_workers(None, 4, cpus(8)), 1);
+        assert_eq!(resolve_workers(None, 5, cpus(8)), 5);
+        assert_eq!(resolve_workers(None, 100, cpus(8)), 8);
+        // A one-CPU affinity mask resolves to the sequential path.
+        assert_eq!(resolve_workers(None, 100, cpus(1)), 1);
     }
 
     #[test]

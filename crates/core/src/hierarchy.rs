@@ -14,32 +14,47 @@
 //! reallocation as the receiving rule. Every grant change is zero-sum
 //! audited by a [`BudgetLedger`] shift audit.
 //!
+//! # The rack pool
+//!
+//! A campaign splits its racks once into contiguous parts, one per worker
+//! ([`worker_count`](cluster_sim::sweep::worker_count) resolves
+//! [`ShardConfig::workers`]), and starts one helper thread per part
+//! beyond the first inside a single `std::thread::scope` that lives as
+//! long as the epoch loop. Racks stay in their part's `Vec` for the whole
+//! campaign: each epoch a helper is sent its part by value over a std
+//! channel — the `Vec` header, not the racks — and sends it back
+//! executed, while the calling thread executes part 0. Nothing is
+//! spawned, allocated or sorted per epoch. A panic while executing any
+//! part re-raises its original payload from [`run_sharded`]; every way
+//! out of the scope, unwinding included, drops the helpers' channels, so
+//! each helper's inbox closes and it exits.
+//!
 //! # Determinism under parallel execution
 //!
 //! Each epoch is a strict three-phase cycle:
 //!
-//! 1. **prepare** (sequential, rack-index order): rack crashes fire, the
-//!    arbiter re-grants, each live rack plans and audits via
+//! 1. **prepare** (calling thread, rack-index order): rack crashes fire,
+//!    the arbiter re-grants, each live rack plans and audits via
 //!    [`EpochEngine::prepare_epoch`] — everything that touches the
 //!    process-wide audit counters, the scheduler's decision buffer, or a
 //!    trace sink happens here;
-//! 2. **execute** (parallel): [`EpochEngine::execute`] per rack via
-//!    [`parallel_map_with`](cluster_sim::sweep::parallel_map_with). The
-//!    closure owns its rack wholesale (cluster, engine, recorder) and
-//!    writes results back into the moved-in rack value — no shared
-//!    accumulation, no interior mutability, which is exactly the shape
-//!    clip-lint's shared-state and commutativity rules prove (§13's proof
-//!    obligation; `run_sharded` is a registered replay-critical entry
-//!    point);
-//! 3. **settle** (sequential, rack-index order): actuation audits, epoch
-//!    records and trace emission via [`EpochEngine::settle_epoch`], then
-//!    the arbiter rebalances on the demands just reported.
+//! 2. **execute** (the pool): [`EpochEngine::execute`] per rack. A part
+//!    owns its racks wholesale (cluster, engine, recorder) and each rack
+//!    writes its result into its own phase — no shared accumulation, no
+//!    interior mutability, which is exactly the shape clip-lint's
+//!    shared-state and commutativity rules prove (§13's proof obligation;
+//!    `run_sharded` is a registered replay-critical entry point);
+//! 3. **settle** (calling thread, rack-index order): actuation audits,
+//!    epoch records and trace emission via [`EpochEngine::settle_epoch`],
+//!    then the arbiter rebalances on the demands just reported.
 //!
-//! Results merge in rack-index order regardless of worker count or
-//! submission order, so traces, ledger audits and golden hashes are
-//! byte-identical across thread schedules — the replay-equivalence suite
-//! (`crates/cluster/tests/shard_equivalence.rs`, `tests/replay.rs`) pins
-//! a 1-rack sharded run against the flat engine bit for bit.
+//! Parts are contiguous and return to their slots, so the prepare and
+//! settle loops walk the racks in rack-index order whatever the worker
+//! count or the execute order inside a part: traces, ledger audits and
+//! golden hashes are byte-identical across thread schedules — the
+//! replay-equivalence suite (`crates/cluster/tests/shard_equivalence.rs`,
+//! `tests/replay.rs`) pins a 1-rack sharded run against the flat engine
+//! bit for bit.
 
 use crate::audit::BudgetLedger;
 use crate::degrade::FaultTimeline;
@@ -50,11 +65,13 @@ use crate::scheduler::{PowerScheduler, SchedulePlan};
 use crate::service::ServiceTimeline;
 use clip_obs::Recorder;
 use clip_serve::ServiceReport;
-use cluster_sim::sweep::parallel_map_with;
+use cluster_sim::sweep::worker_count;
 use cluster_sim::{split_faults, Cluster, FaultPlan, JobReport, ShardedFleet};
 use serde::{Deserialize, Serialize};
 use simkit::{Power, SimRng};
 use simnode::PowerCaps;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use workload::AppModel;
 
 /// Grant deltas below this are noise, not a re-plan trigger (mirrors the
@@ -71,13 +88,15 @@ pub struct ShardConfig {
     /// Fraction of a rack's slack watts the arbiter shifts per epoch
     /// (Medhat-style gradual redistribution), in `[0, 1]`.
     pub shift_fraction: f64,
-    /// Worker threads for the parallel execute phase; `None` uses one per
-    /// core, `Some(1)` forces sequential execution. The replay suite runs
-    /// the same campaign at several counts and asserts byte-identity.
+    /// Threads in the campaign's rack pool, the calling thread included:
+    /// `Some(1)` runs sequentially; `None` runs sequentially under 5 racks
+    /// and otherwise uses one worker per CPU; never more workers than
+    /// racks. The replay suite runs the same campaign at several counts
+    /// and asserts byte-identity.
     pub workers: Option<usize>,
-    /// When set, the execute phase submits racks in a seeded shuffled
-    /// order each epoch (results still merge in rack-index order) — the
-    /// schedule-independence tests drive this.
+    /// When set, every part of the pool executes its racks in a seeded
+    /// shuffled order each epoch (prepare and settle still walk the racks
+    /// in rack-index order) — the schedule-independence tests drive this.
     pub shuffle_seed: Option<u64>,
 }
 
@@ -407,27 +426,119 @@ fn proportional_split(total: f64, weights: &[usize], parts: &mut Vec<f64>) {
     }
 }
 
-/// One rack's worth of campaign state, moved wholesale through the
-/// parallel execute phase: the rack owns its cluster, scheduler, engine
-/// (and therefore recorder), policy and run state, so the execute closure
-/// touches nothing outside the value it was handed.
-struct RackRun<R: Recorder> {
+/// One rack's worth of campaign state. The rack owns its cluster,
+/// scheduler, engine (and therefore recorder), policy and run state, so
+/// executing its epoch touches nothing outside the value, on whichever
+/// pool thread holds its part.
+struct RackRun<'a, R: Recorder> {
     rack: usize,
     cluster: Cluster,
     scheduler: Box<dyn PowerScheduler + Send>,
     engine: EpochEngine<R>,
     policy: RackTimeline,
-    state: Option<RunState>,
-    base_app: AppModel,
-    prep: Option<EpochPrep>,
-    outcome: Option<JobReport>,
-    live: bool,
+    /// The campaign's app, shared by every rack.
+    app: &'a AppModel,
+    state: RunState,
+    phase: RackPhase,
     iterations: usize,
     granted: Power,
     last_demand: Power,
-    crashed_at: Option<usize>,
     reclaimed: Power,
-    done: Option<FaultRunReport>,
+}
+
+/// Where a rack stands in the campaign and in the current epoch.
+enum RackPhase {
+    /// Live, with nothing in flight: between epochs.
+    Idle,
+    /// Planned and audited this epoch; the execute phase runs next.
+    Prepared(EpochPrep),
+    /// Executed this epoch; the settle phase consumes the report.
+    Executed(EpochPrep, JobReport),
+    /// The whole rack crashed at epoch `at`'s boundary. Nothing touches
+    /// the rack afterwards, so its engine is closed out with the
+    /// survivors' at the end of the campaign, over the epochs it ran.
+    Crashed { at: usize },
+}
+
+impl<R: Recorder> RackRun<'_, R> {
+    fn is_live(&self) -> bool {
+        !matches!(self.phase, RackPhase::Crashed { .. })
+    }
+
+    /// Phase 1 (calling thread, rack order): plan and audit the epoch.
+    fn prepare(&mut self, epoch: usize) {
+        if self.is_live() {
+            let prep = self.engine.prepare_epoch(
+                &mut self.state,
+                &mut *self.scheduler,
+                &mut self.cluster,
+                self.app,
+                &mut self.policy,
+                epoch,
+            );
+            self.phase = RackPhase::Prepared(prep);
+        }
+    }
+
+    /// Phase 2 (any pool thread): run the prepared epoch.
+    fn execute(&mut self) {
+        match std::mem::replace(&mut self.phase, RackPhase::Idle) {
+            RackPhase::Prepared(prep) => {
+                let app = self.state.staged().unwrap_or(self.app);
+                let report =
+                    self.engine
+                        .execute(&mut self.cluster, app, &self.state.plan, self.iterations);
+                self.phase = RackPhase::Executed(prep, report);
+            }
+            other => self.phase = other,
+        }
+    }
+
+    /// Phase 3 (calling thread, rack order): audit the actuation, record
+    /// the epoch and report the rack's demand to the arbiter.
+    fn settle(&mut self, epoch: usize) {
+        match std::mem::replace(&mut self.phase, RackPhase::Idle) {
+            RackPhase::Executed(prep, report) => {
+                self.last_demand = self.state.plan.total_caps();
+                self.engine
+                    .settle_epoch(&mut self.state, prep, &report, &mut self.policy, epoch);
+            }
+            other => self.phase = other,
+        }
+    }
+
+    /// Close the rack's engine out: its slice of the shard report, its
+    /// service's report and its recorder.
+    fn finish(mut self) -> (RackReport, Option<ServiceReport>, R) {
+        let report = self
+            .engine
+            .finish_run(self.state, &mut *self.scheduler, &self.cluster);
+        let crashed_at = match self.phase {
+            RackPhase::Crashed { at } => Some(at),
+            _ => None,
+        };
+        let rack = RackReport {
+            rack: self.rack,
+            granted: self.granted,
+            crashed_at,
+            reclaimed: self.reclaimed,
+            report,
+        };
+        let service = self.policy.take_service().map(ServiceTimeline::into_report);
+        (rack, service, self.engine.into_recorder())
+    }
+}
+
+/// A contiguous run of racks, in rack order: the unit the pool hands a
+/// thread.
+type Part<'a, R> = Vec<RackRun<'a, R>>;
+
+/// The calling thread's ends of one pool helper's channels: a part goes
+/// out by value each epoch and comes back executed — or as the payload of
+/// the panic that stopped it.
+struct Helper<'a, R: Recorder> {
+    to: SyncSender<Part<'a, R>>,
+    from: Receiver<std::thread::Result<Part<'a, R>>>,
 }
 
 /// One rack's slice of a [`ShardRunReport`].
@@ -475,7 +586,7 @@ impl ShardRunReport {
 
 /// Drive a sharded fleet through a fault campaign under one global power
 /// bound: one [`EpochEngine`] per rack, grants arbitrated per epoch,
-/// rack-level executes fanned out via `parallel_map_with`.
+/// rack-level executes run on the campaign's rack pool (module doc).
 ///
 /// `make_scheduler` builds rack `r`'s scheduler (called once per rack, in
 /// rack order, before the campaign starts). `recorders` supplies one
@@ -624,182 +735,130 @@ where
             scheduler,
             engine,
             policy,
-            state: Some(state),
-            base_app: app.clone(),
-            prep: None,
-            outcome: None,
-            live: true,
+            app,
+            state,
+            phase: RackPhase::Idle,
             iterations: cfg.iterations_per_epoch,
             granted,
             last_demand: Power::ZERO,
-            crashed_at: None,
             reclaimed: Power::ZERO,
-            done: None,
         });
     }
+    let mut parts = split_parts(runs, worker_count(cfg.workers, topo.racks()));
 
     // Per-epoch scratch, hoisted out of the epoch loop (hot-alloc):
     // refilled with clear() + extend each phase instead of collected anew.
     let mut order: Vec<usize> = Vec::new();
-    let mut slots: Vec<Option<RackRun<R>>> = Vec::new();
-    let mut demands: Vec<Power> = Vec::with_capacity(runs.len());
-    let mut alive: Vec<usize> = Vec::with_capacity(runs.len());
-    let mut live: Vec<bool> = Vec::with_capacity(runs.len());
+    let mut demands: Vec<Power> = Vec::with_capacity(topo.racks());
+    let mut alive: Vec<usize> = Vec::with_capacity(topo.racks());
+    let mut live: Vec<bool> = Vec::with_capacity(topo.racks());
+    let shuffle_seed = cfg.shuffle_seed;
 
-    for epoch in 0..cfg.epochs {
-        let ep = epoch as u64;
+    std::thread::scope(|s| {
+        // The pool: one helper per part beyond the first, for the whole
+        // campaign. Dropping `helpers` — at the end, or while unwinding —
+        // closes every helper's inbox, and each helper exits.
+        let helpers: Vec<Helper<R>> = parts
+            .iter()
+            .skip(1)
+            .map(|_| {
+                let (to, inbox) = sync_channel(1);
+                let (outbox, from) = sync_channel(1);
+                s.spawn(move || serve_parts(inbox, outbox, shuffle_seed));
+                Helper { to, from }
+            })
+            .collect();
 
-        // Phase 0 (sequential): whole-rack crashes at this boundary. The
-        // dead rack's engine is closed out and its grant returns to the
-        // pool, redistributed to the survivors *within this epoch*.
-        for fault in rack_faults.iter().filter(|f| f.at_epoch == epoch) {
-            let live_racks = runs.iter().filter(|r| r.live).count();
-            let Some(run) = runs.get_mut(fault.rack) else {
-                continue;
-            };
-            if !run.live || live_racks <= 1 {
-                // Mirrors the node-level rule: never crash the last
-                // survivor; the event is dropped.
-                continue;
+        for epoch in 0..cfg.epochs {
+            let ep = epoch as u64;
+
+            // Phase 0 (sequential): whole-rack crashes at this boundary.
+            // The dead rack stops running and its grant returns to the
+            // pool, redistributed to the survivors *within this epoch*.
+            for fault in rack_faults.iter().filter(|f| f.at_epoch == epoch) {
+                let live_racks = parts.iter().flatten().filter(|r| r.is_live()).count();
+                let Some(run) = parts.iter_mut().flatten().nth(fault.rack) else {
+                    continue;
+                };
+                if !run.is_live() || live_racks <= 1 {
+                    // Mirrors the node-level rule: never crash the last
+                    // survivor; the event is dropped.
+                    continue;
+                }
+                run.phase = RackPhase::Crashed { at: epoch };
+                fleet_state(&parts, &mut alive, &mut live);
+                let reclaimed = arbiter.retire_rack(fault.rack, &alive, &live);
+                if let Some(run) = parts.iter_mut().flatten().nth(fault.rack) {
+                    run.reclaimed = reclaimed;
+                    run.granted = Power::ZERO;
+                }
+                if cluster_rec.enabled_for(clip_obs::EventClass::Shard) {
+                    let rack = fault.rack;
+                    cluster_rec.event_with(ep, clip_obs::EventClass::Shard, || {
+                        clip_obs::TraceEvent::RackCrashed {
+                            rack,
+                            at_epoch: ep,
+                            reclaimed,
+                        }
+                    });
+                }
+                apply_grants(&mut parts, &arbiter, cluster_rec, ep);
             }
-            run.live = false;
-            run.crashed_at = Some(epoch);
-            if let Some(state) = run.state.take() {
-                run.done = Some(
-                    run.engine
-                        .finish_run(state, &mut *run.scheduler, &run.cluster),
-                );
+
+            // Phase 1 (sequential, rack order): plan + audit each live rack.
+            for run in parts.iter_mut().flatten() {
+                run.prepare(epoch);
             }
-            alive.clear();
-            alive.extend(runs.iter().map(|r| r.cluster.alive_len()));
-            live.clear();
-            live.extend(runs.iter().map(|r| r.live));
-            let reclaimed = arbiter.retire_rack(fault.rack, &alive, &live);
-            if let Some(run) = runs.get_mut(fault.rack) {
-                run.reclaimed = reclaimed;
-                run.granted = Power::ZERO;
-            }
-            if cluster_rec.enabled_for(clip_obs::EventClass::Shard) {
-                let rack = fault.rack;
-                cluster_rec.event_with(ep, clip_obs::EventClass::Shard, || {
-                    clip_obs::TraceEvent::RackCrashed {
-                        rack,
-                        at_epoch: ep,
-                        reclaimed,
+
+            // Phase 2 (parallel): each helper takes its part by value while
+            // this thread executes part 0, then every part comes back to
+            // its slot, so rack order never changes.
+            if let Some((first, rest)) = parts.split_first_mut() {
+                for (helper, part) in helpers.iter().zip(rest.iter_mut()) {
+                    // A helper hangs up only after this thread does, so the
+                    // send cannot fail.
+                    let _ = helper.to.send(std::mem::take(part));
+                }
+                execute_part(first, &mut order, shuffle_seed, epoch);
+                for (helper, part) in helpers.iter().zip(rest) {
+                    // Every part sent gets exactly one reply.
+                    if let Ok(reply) = helper.from.recv() {
+                        *part = reply.unwrap_or_else(|payload| resume_unwind(payload));
                     }
-                });
-            }
-            apply_grants(&mut runs, &arbiter, cluster_rec, ep);
-        }
-
-        // Phase 1 (sequential, rack order): plan + audit each live rack.
-        for run in runs.iter_mut().filter(|r| r.live) {
-            if let Some(state) = run.state.as_mut() {
-                let prep = run.engine.prepare_epoch(
-                    state,
-                    &mut *run.scheduler,
-                    &mut run.cluster,
-                    &run.base_app,
-                    &mut run.policy,
-                    epoch,
-                );
-                run.prep = Some(prep);
-            }
-        }
-
-        // Phase 2 (parallel): execute every live rack's epoch. Each rack
-        // value is moved into the closure and written back whole — the
-        // indexed write-back shape clip-lint's commutativity rule admits.
-        // Submission order may be shuffled; the merge below restores rack
-        // order, so thread count and submission order leave no trace. The
-        // identity order (no shuffle seed) hands the racks straight to the
-        // pool without the per-epoch slot dance.
-        let submitted: Vec<RackRun<R>> = if cfg.shuffle_seed.is_some() {
-            submission_order(&mut order, runs.len(), cfg.shuffle_seed, epoch);
-            slots.clear();
-            slots.extend(runs.into_iter().map(Some));
-            order
-                .iter()
-                .filter_map(|&i| slots.get_mut(i).and_then(Option::take))
-                .collect()
-        } else {
-            runs
-        };
-        let mut executed = parallel_map_with(submitted, cfg.workers, |mut run: RackRun<R>| {
-            if run.live && run.prep.is_some() {
-                if let Some(state) = run.state.as_ref() {
-                    let app_e = state.staged().unwrap_or(&run.base_app);
-                    let report =
-                        run.engine
-                            .execute(&mut run.cluster, app_e, &state.plan, run.iterations);
-                    run.outcome = Some(report);
                 }
             }
-            run
-        });
-        executed.sort_by_key(|r| r.rack);
-        runs = executed;
 
-        // Phase 3 (sequential, rack order): settle each live rack and
-        // collect its demand for the arbiter.
-        for run in runs.iter_mut().filter(|r| r.live) {
-            if let (Some(state), Some(prep), Some(report)) =
-                (run.state.as_mut(), run.prep.take(), run.outcome.take())
-            {
-                run.last_demand = state.plan.total_caps();
-                run.engine
-                    .settle_epoch(state, prep, &report, &mut run.policy, epoch);
+            // Phase 3 (sequential, rack order): settle each live rack and
+            // collect its demand for the arbiter.
+            for run in parts.iter_mut().flatten() {
+                run.settle(epoch);
+            }
+
+            // Phase 4 (sequential): the arbiter shifts slack on the demands
+            // just reported; changed grants take effect next epoch.
+            if epoch + 1 < cfg.epochs {
+                demands.clear();
+                demands.extend(parts.iter().flatten().map(|r| r.last_demand));
+                fleet_state(&parts, &mut alive, &mut live);
+                arbiter.rebalance(&demands, &alive, &live);
+                apply_grants(&mut parts, &arbiter, cluster_rec, ep);
             }
         }
+    });
 
-        // Phase 4 (sequential): the arbiter shifts slack on the demands
-        // just reported; changed grants take effect next epoch.
-        if epoch + 1 < cfg.epochs {
-            demands.clear();
-            demands.extend(runs.iter().map(|r| r.last_demand));
-            alive.clear();
-            alive.extend(runs.iter().map(|r| r.cluster.alive_len()));
-            live.clear();
-            live.extend(runs.iter().map(|r| r.live));
-            arbiter.rebalance(&demands, &alive, &live);
-            apply_grants(&mut runs, &arbiter, cluster_rec, ep);
-        }
-    }
-
-    // Close out the survivors and merge per-rack reports in rack order.
-    let mut racks_out: Vec<RackReport> = Vec::with_capacity(runs.len());
-    let mut services_out: Vec<Option<ServiceReport>> = Vec::with_capacity(runs.len());
-    let mut recorders_out: Vec<R> = Vec::with_capacity(runs.len());
+    // Close every rack out and merge the reports in rack order.
+    let mut racks_out: Vec<RackReport> = Vec::with_capacity(topo.racks());
+    let mut services_out: Vec<Option<ServiceReport>> = Vec::with_capacity(topo.racks());
+    let mut recorders_out: Vec<R> = Vec::with_capacity(topo.racks());
     let mut survivors = 0usize;
-    for mut run in runs {
-        if run.live {
-            if let Some(state) = run.state.take() {
-                run.done = Some(
-                    run.engine
-                        .finish_run(state, &mut *run.scheduler, &run.cluster),
-                );
-            }
+    for run in parts.into_iter().flatten() {
+        let (rack, service, rec) = run.finish();
+        if rack.crashed_at.is_none() {
+            survivors += rack.report.survivors;
         }
-        let report = run.done.take().unwrap_or(FaultRunReport {
-            scheduler: String::new(),
-            budget: run.granted,
-            epochs: Vec::new(),
-            recoveries: Vec::new(),
-            injected_overshoots: 0,
-            survivors: 0,
-        });
-        if run.live {
-            survivors += report.survivors;
-        }
-        racks_out.push(RackReport {
-            rack: run.rack,
-            granted: run.granted,
-            crashed_at: run.crashed_at,
-            reclaimed: run.reclaimed,
-            report,
-        });
-        services_out.push(run.policy.take_service().map(ServiceTimeline::into_report));
-        recorders_out.push(run.engine.into_recorder());
+        racks_out.push(rack);
+        services_out.push(service);
+        recorders_out.push(rec);
     }
 
     (
@@ -814,18 +873,74 @@ where
     )
 }
 
+/// Split `runs` into `k` contiguous parts in rack order, their sizes
+/// differing by at most one (the first parts take the remainder).
+fn split_parts<T>(runs: Vec<T>, k: usize) -> Vec<Vec<T>> {
+    let k = k.max(1);
+    let (size, extra) = (runs.len() / k, runs.len() % k);
+    let mut runs = runs.into_iter();
+    (0..k)
+        .map(|p| runs.by_ref().take(size + usize::from(p < extra)).collect())
+        .collect()
+}
+
+/// A pool helper's life: execute each part it is handed and hand it back,
+/// until the campaign hangs up. Parts arrive one per epoch, in epoch
+/// order. A panic while executing goes back as the part's reply, payload
+/// intact, for the calling thread to re-raise.
+fn serve_parts<'a, R: Recorder>(
+    inbox: Receiver<Part<'a, R>>,
+    outbox: SyncSender<std::thread::Result<Part<'a, R>>>,
+    shuffle_seed: Option<u64>,
+) {
+    let mut order = Vec::new();
+    for (epoch, mut part) in inbox.into_iter().enumerate() {
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            execute_part(&mut part, &mut order, shuffle_seed, epoch);
+        }));
+        if outbox.send(ran.map(|()| part)).is_err() {
+            break;
+        }
+    }
+}
+
+/// Execute every prepared rack of one part, in the part's submission
+/// order for `epoch`.
+fn execute_part<R: Recorder>(
+    part: &mut [RackRun<'_, R>],
+    order: &mut Vec<usize>,
+    shuffle_seed: Option<u64>,
+    epoch: usize,
+) {
+    submission_order(order, part.len(), shuffle_seed, epoch);
+    for &i in order.iter() {
+        if let Some(run) = part.get_mut(i) {
+            run.execute();
+        }
+    }
+}
+
+/// Refill the arbiter's per-rack inputs in rack order: alive nodes and
+/// liveness.
+fn fleet_state<R: Recorder>(parts: &[Part<'_, R>], alive: &mut Vec<usize>, live: &mut Vec<bool>) {
+    alive.clear();
+    alive.extend(parts.iter().flatten().map(|r| r.cluster.alive_len()));
+    live.clear();
+    live.extend(parts.iter().flatten().map(RackRun::is_live));
+}
+
 /// Push the arbiter's current grants down into the rack engines: any rack
 /// whose grant moved beyond tolerance re-targets its engine budget, arms
 /// a forced re-plan for its next boundary, and is narrated on the
 /// cluster-level recorder.
 fn apply_grants<R: Recorder, C: Recorder>(
-    runs: &mut [RackRun<R>],
+    parts: &mut [Part<'_, R>],
     arbiter: &BudgetArbiter,
     cluster_rec: &mut C,
     epoch: u64,
 ) {
-    for (run, &grant) in runs.iter_mut().zip(arbiter.grants()) {
-        if !run.live {
+    for (run, &grant) in parts.iter_mut().flatten().zip(arbiter.grants()) {
+        if !run.is_live() {
             continue;
         }
         if (grant.as_watts() - run.granted.as_watts()).abs() <= GRANT_TOLERANCE_WATTS {
@@ -851,10 +966,10 @@ fn apply_grants<R: Recorder, C: Recorder>(
     }
 }
 
-/// The execute phase's submission order for `epoch`, filled into the
-/// reused `order` buffer (hot-alloc — this runs every shuffled epoch):
-/// identity unless a shuffle seed asks for a seeded permutation
-/// (distinct per epoch).
+/// A part's execute order for `epoch`, of its `n` racks, filled into the
+/// reused `order` buffer (hot-alloc — this runs every epoch): identity
+/// unless a shuffle seed asks for a seeded permutation (distinct per
+/// epoch).
 fn submission_order(order: &mut Vec<usize>, n: usize, shuffle_seed: Option<u64>, epoch: usize) {
     order.clear();
     order.extend(0..n);
@@ -871,7 +986,7 @@ mod tests {
     use crate::mlr::InflectionPredictor;
     use crate::scheduler::ClipScheduler;
     use clip_obs::NoopRecorder;
-    use cluster_sim::{RackTopology, VariabilityModel};
+    use cluster_sim::{FaultEvent, FaultKind, RackTopology, VariabilityModel};
     use workload::suite;
 
     fn fleet(racks: usize, nodes_per_rack: usize, seed: u64) -> ShardedFleet {
@@ -1054,28 +1169,133 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_the_report() {
-        let base = ShardConfig {
-            epochs: 4,
-            iterations_per_epoch: 1,
-            ..ShardConfig::default()
-        };
-        let run = |workers: Option<usize>| {
-            let cfg = ShardConfig { workers, ..base };
+        // Every pool shape against the sequential report: even and uneven
+        // parts, more workers than racks, shuffled execute order, and a
+        // rack crash that leaves a dead rack inside a helper's part.
+        let run = |racks: usize, workers: Option<usize>, shuffle_seed: Option<u64>| {
+            let cfg = ShardConfig {
+                epochs: 4,
+                iterations_per_epoch: 1,
+                workers,
+                shuffle_seed,
+                ..ShardConfig::default()
+            };
             let (report, _) = run_sharded(
-                fleet(4, 2, 97),
+                fleet(racks, 2, 97),
                 clip_factory(),
                 &suite::amg(),
-                Power::watts(2200.0),
+                Power::watts(550.0 * racks as f64),
                 &FaultPlan::empty(),
-                &[],
+                &[RackFault {
+                    at_epoch: 2,
+                    rack: racks - 1,
+                }],
                 &cfg,
-                noop_recorders(4),
+                noop_recorders(racks),
                 &mut NoopRecorder,
             );
             serde_json::to_string(&report).expect("report serializes")
         };
-        let sequential = run(Some(1));
-        assert_eq!(run(Some(2)), sequential);
-        assert_eq!(run(None), sequential);
+        for racks in [4, 5] {
+            let sequential = run(racks, Some(1), None);
+            for (workers, shuffle) in [
+                (Some(2), None),
+                (Some(3), None),
+                (Some(16), None),
+                (None, None),
+                (Some(1), Some(7)),
+                (Some(2), Some(7)),
+            ] {
+                assert_eq!(
+                    run(racks, workers, shuffle),
+                    sequential,
+                    "{racks} racks, workers {workers:?}, shuffle {shuffle:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parts_are_contiguous_and_even() {
+        let sizes = |n: usize, k: usize| -> Vec<Vec<usize>> { split_parts((0..n).collect(), k) };
+        assert_eq!(sizes(5, 2), vec![vec![0, 1, 2], vec![3, 4]]);
+        assert_eq!(sizes(5, 3), vec![vec![0, 1], vec![2, 3], vec![4]]);
+        assert_eq!(sizes(4, 1), vec![vec![0, 1, 2, 3]]);
+        assert_eq!(sizes(0, 1), vec![Vec::<usize>::new()]);
+    }
+
+    /// CLIP, except that it plans a node the fault plan crashed back into
+    /// every re-plan — a scheduler bug `run_job`'s liveness assert stops
+    /// during the execute phase.
+    struct RevivesTheDead(ClipScheduler);
+
+    impl PowerScheduler for RevivesTheDead {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn plan(&mut self, cluster: &mut Cluster, app: &AppModel, budget: Power) -> SchedulePlan {
+            self.0.plan(cluster, app, budget)
+        }
+
+        fn plan_subset(
+            &mut self,
+            cluster: &mut Cluster,
+            app: &AppModel,
+            budget: Power,
+            allowed: &[usize],
+        ) -> SchedulePlan {
+            let mut plan = self.0.plan_subset(cluster, app, budget, allowed);
+            let dead = (0..cluster.len()).find(|&id| !cluster.is_alive(id));
+            if let (Some(dead), Some(slot)) = (dead, plan.node_ids.first_mut()) {
+                *slot = dead;
+            }
+            plan
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_reaches_the_caller_with_its_payload() {
+        // Global node 7 is rack 3's local node 1. Rack 3 sits in the last
+        // part at 2 and 4 workers, so a helper thread executes it; the
+        // recovery re-plan at epoch 2 puts the dead node back.
+        let faults = FaultPlan::new(vec![FaultEvent {
+            at_epoch: 1,
+            node: 7,
+            kind: FaultKind::NodeCrash,
+        }]);
+        for workers in [2, 4] {
+            let cfg = ShardConfig {
+                epochs: 4,
+                iterations_per_epoch: 1,
+                workers: Some(workers),
+                ..ShardConfig::default()
+            };
+            let predictor = InflectionPredictor::train_default(5);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_sharded(
+                    fleet(4, 2, 97),
+                    move |_rack| -> Box<dyn PowerScheduler + Send> {
+                        Box::new(RevivesTheDead(ClipScheduler::new(predictor.clone())))
+                    },
+                    &suite::amg(),
+                    Power::watts(2200.0),
+                    &faults,
+                    &[],
+                    &cfg,
+                    noop_recorders(4),
+                    &mut NoopRecorder,
+                )
+            }))
+            .expect_err("executing a crashed node must panic");
+            let msg = caught
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("the assert's formatted message is the payload");
+            assert!(
+                msg.contains("node 1 has crashed"),
+                "workers {workers}: got {msg}"
+            );
+        }
     }
 }

@@ -86,6 +86,13 @@ fi
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+# The benchmark (clipbench/) is a workspace of its own, so the workspace
+# run above skips its tests. Its smoke tests drive `fleet` at 2 workers
+# against the 1-worker twin and check the span-run breakdown, which puts
+# the sharded fleet's rack pool through the benchmark's own checks.
+echo "==> clipbench tests"
+cargo test --offline --manifest-path clipbench/Cargo.toml -q
+
 # Gate the full fault-injection path end to end: scheduler -> fault plan ->
 # degraded epoch -> re-coordination -> ledger classification. The smoke
 # plan (4 nodes, one crash, 3 epochs) keeps this well under five seconds.
