@@ -3,9 +3,17 @@
 //! Not one of the paper's methods: this is the "optimal solution" the paper
 //! claims CLIP performs close to (§I, §V-C observation 2). It enumerates
 //! node count × even concurrency × affinity × DRAM share, *executes* each
-//! candidate on a cloned cluster, and keeps the fastest plan whose caps fit
-//! the budget. The search is embarrassingly parallel and uses
-//! [`cluster_sim::sweep::parallel_map`].
+//! candidate whose caps fit the budget through [`execute_plan`], and keeps
+//! the fastest.
+//!
+//! The search runs in place: the grid is dealt out in strided lanes, one
+//! per worker ([`cluster_sim::sweep::worker_count`]), so every lane sees
+//! every node count. A lane clones the cluster once and refills one
+//! scratch plan per candidate. Reusing the trial cluster is exact:
+//! `execute_plan` re-programs every participant's caps before the job
+//! runs, and the only other state a job leaves behind is the RAPL energy
+//! bookkeeping, which run time never reads. The winning plan is built
+//! once, at the end.
 //!
 //! The Oracle is expensive by construction (hundreds of real runs versus
 //! CLIP's three profile samples); the EXPERIMENTS.md gap table and the
@@ -13,7 +21,8 @@
 
 use clip_core::audit::BudgetLedger;
 use clip_core::{execute_plan, PowerScheduler, SchedulePlan};
-use cluster_sim::{sweep::parallel_map, Cluster};
+use cluster_sim::sweep::{parallel_map_with, worker_count};
+use cluster_sim::Cluster;
 use simkit::Power;
 use simnode::{AffinityPolicy, PowerCaps};
 use workload::AppModel;
@@ -21,19 +30,13 @@ use workload::AppModel;
 /// DRAM shares of the per-node budget the Oracle sweeps.
 const DRAM_SHARES: [f64; 6] = [0.04, 0.08, 0.12, 0.18, 0.25, 0.35];
 
-/// Exhaustive-search scheduler (the evaluation's optimum reference).
-#[derive(Debug, Clone)]
-pub struct Oracle {
-    /// Iterations per candidate evaluation (1 is enough for the analytic
-    /// simulator; kept configurable for noise studies).
-    pub eval_iterations: usize,
-}
+/// Iterations per candidate evaluation. The simulator is analytic, so the
+/// count cannot change the ranking.
+const EVAL_ITERATIONS: usize = 1;
 
-impl Default for Oracle {
-    fn default() -> Self {
-        Self { eval_iterations: 1 }
-    }
-}
+/// Exhaustive-search scheduler (the evaluation's optimum reference).
+#[derive(Debug, Clone, Default)]
+pub struct Oracle {}
 
 /// One point of the Oracle's search grid.
 #[derive(Debug, Clone, Copy)]
@@ -42,6 +45,27 @@ struct Candidate {
     threads: usize,
     policy: AffinityPolicy,
     dram_share: f64,
+}
+
+impl Candidate {
+    /// Refill `plan` with this candidate: the first `nodes` of `allowed`,
+    /// each capped at an equal share of `budget` split between DRAM and
+    /// CPU (each floored at 1 W, so tight budgets can overflow).
+    fn fill(&self, plan: &mut SchedulePlan, budget: Power, allowed: &[usize]) {
+        let per_node = budget / self.nodes as f64;
+        let dram = (per_node.as_watts() * self.dram_share).max(1.0);
+        let cpu = (per_node.as_watts() - dram).max(1.0);
+        plan.node_ids.clear();
+        plan.node_ids
+            .extend(allowed.iter().copied().take(self.nodes));
+        plan.threads_per_node = self.threads;
+        plan.policy = self.policy;
+        plan.caps.clear();
+        plan.caps.resize(
+            self.nodes,
+            PowerCaps::new(Power::watts(cpu), Power::watts(dram)),
+        );
+    }
 }
 
 impl Oracle {
@@ -86,16 +110,62 @@ impl Oracle {
     }
 
     fn plan_of(candidate: &Candidate, budget: Power, allowed: &[usize]) -> SchedulePlan {
-        let per_node = budget / candidate.nodes as f64;
-        let dram = (per_node.as_watts() * candidate.dram_share).max(1.0);
-        let cpu = (per_node.as_watts() - dram).max(1.0);
-        SchedulePlan {
+        let mut plan = SchedulePlan {
             scheduler: "Oracle".to_string(),
-            node_ids: allowed.iter().copied().take(candidate.nodes).collect(),
+            node_ids: Vec::with_capacity(candidate.nodes),
             threads_per_node: candidate.threads,
             policy: candidate.policy,
-            caps: vec![PowerCaps::new(Power::watts(cpu), Power::watts(dram)); candidate.nodes],
-        }
+            caps: Vec::with_capacity(candidate.nodes),
+        };
+        candidate.fill(&mut plan, budget, allowed);
+        plan
+    }
+
+    /// Index of the fastest candidate whose caps fit `budget`, searched
+    /// over `lanes` strided lanes; `None` when no candidate fits. Each lane
+    /// keeps the largest performance under `total_cmp` with ties to the
+    /// lower index, and so does the merge, so the choice is the sequential
+    /// first-fastest at any lane count.
+    fn search(
+        cluster: &Cluster,
+        app: &AppModel,
+        budget: Power,
+        allowed: &[usize],
+        candidates: &[Candidate],
+        lanes: usize,
+    ) -> Option<usize> {
+        let lane_best = parallel_map_with((0..lanes).collect(), Some(lanes), |lane| {
+            let mut best: Option<(f64, usize)> = None;
+            let Some(first) = candidates.get(lane) else {
+                return best;
+            };
+            let mut trial = cluster.clone();
+            let mut plan = Self::plan_of(first, budget, allowed);
+            for (idx, cand) in candidates.iter().enumerate().skip(lane).step_by(lanes) {
+                cand.fill(&mut plan, budget, allowed);
+                if !plan.within_budget(budget) {
+                    continue;
+                }
+                let perf = execute_plan(
+                    &mut trial,
+                    app,
+                    &plan,
+                    EVAL_ITERATIONS,
+                    0,
+                    &mut clip_obs::NoopRecorder,
+                )
+                .performance();
+                if best.is_none_or(|(b, _)| perf.total_cmp(&b).is_gt()) {
+                    best = Some((perf, idx));
+                }
+            }
+            best
+        });
+        lane_best
+            .into_iter()
+            .flatten()
+            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
+            .map(|(_, idx)| idx)
     }
 }
 
@@ -118,48 +188,22 @@ impl PowerScheduler for Oracle {
     ) -> SchedulePlan {
         assert!(!allowed.is_empty(), "no nodes available");
         let candidates = self.candidates(cluster, app, allowed);
-        let iterations = self.eval_iterations;
-        let base = cluster.clone();
-        let scored: Vec<(f64, SchedulePlan)> = parallel_map(candidates, |cand| {
-            let plan = Self::plan_of(&cand, budget, allowed);
-            let mut trial = base.clone();
-            let report = execute_plan(
-                &mut trial,
-                app,
-                &plan,
-                iterations,
-                0,
-                &mut clip_obs::NoopRecorder,
-            );
-            (report.performance(), plan)
-        });
+        let lanes = worker_count(None, candidates.len());
+        let best = Self::search(cluster, app, budget, allowed, &candidates, lanes);
         // The grid is non-empty by construction (>= 1 node count, thread
-        // count, policy and DRAM share each); fold instead of `max_by` so
-        // no panic path survives into release builds.
-        let mut best: Option<(f64, SchedulePlan)> = None;
-        for (perf, plan) in scored {
-            let replace = match &best {
-                None => true,
-                Some((b, _)) => perf.total_cmp(b).is_gt(),
-            };
-            if replace {
-                best = Some((perf, plan));
-            }
-        }
+        // count, policy and DRAM share each), but below 2 W per node no
+        // candidate fits: fall back to one all-core node.
         let probe = allowed.first().copied().unwrap_or(0);
-        let plan = match best {
-            Some((_, plan)) => plan,
-            None => Self::plan_of(
-                &Candidate {
-                    nodes: 1,
-                    threads: cluster.node(probe).topology().total_cores(),
-                    policy: AffinityPolicy::Compact,
-                    dram_share: 0.12,
-                },
-                budget,
-                allowed,
-            ),
+        let fallback = Candidate {
+            nodes: 1,
+            threads: cluster.node(probe).topology().total_cores(),
+            policy: AffinityPolicy::Compact,
+            dram_share: 0.12,
         };
+        let winner = best
+            .and_then(|idx| candidates.get(idx))
+            .unwrap_or(&fallback);
+        let plan = Self::plan_of(winner, budget, allowed);
         BudgetLedger::new(self.name(), budget).audit_plan(&plan);
         plan
     }
@@ -262,5 +306,117 @@ mod tests {
         let app = suite::comd(); // preferred counts 1,2,4,8
         let plan = oracle_plan(&app, 1000.0);
         assert!([1usize, 2, 4, 8].contains(&plan.nodes()));
+    }
+
+    #[test]
+    fn oracle_keeps_the_bound_at_tight_budgets() {
+        // Caps floor at 1 W per domain, so below 2 W per node the wide
+        // candidates overflow the budget; they must not be chosen.
+        let cluster = Cluster::paper_testbed(2017);
+        for entry in suite::table2_suite() {
+            for watts in [2.0, 5.0, 10.0, 14.0] {
+                let budget = Power::watts(watts);
+                let plan = Oracle::default().plan(&mut cluster.clone(), &entry.app, budget);
+                assert!(
+                    plan.within_budget(budget),
+                    "{} at {watts} W: {} nodes with {:.1} W of caps",
+                    entry.app.name(),
+                    plan.nodes(),
+                    plan.total_caps().as_watts()
+                );
+            }
+        }
+    }
+
+    /// The search the in-place lanes replace: a fresh cluster clone and a
+    /// fresh plan for every candidate that fits, folded in grid order.
+    fn clone_per_candidate(
+        cluster: &Cluster,
+        app: &AppModel,
+        budget: Power,
+        allowed: &[usize],
+        candidates: &[Candidate],
+    ) -> Option<SchedulePlan> {
+        let mut best: Option<(f64, SchedulePlan)> = None;
+        for cand in candidates {
+            let plan = Oracle::plan_of(cand, budget, allowed);
+            if !plan.within_budget(budget) {
+                continue;
+            }
+            let perf = execute_plan(
+                &mut cluster.clone(),
+                app,
+                &plan,
+                1,
+                0,
+                &mut clip_obs::NoopRecorder,
+            )
+            .performance();
+            if best.as_ref().is_none_or(|(b, _)| perf.total_cmp(b).is_gt()) {
+                best = Some((perf, plan));
+            }
+        }
+        best.map(|(_, plan)| plan)
+    }
+
+    /// Every lane count picks the reference's plan, on the full grid and
+    /// on a short prefix dealt over more lanes than it has candidates.
+    fn assert_search_matches_reference(
+        cluster: &Cluster,
+        app: &AppModel,
+        budget: Power,
+        allowed: &[usize],
+    ) {
+        let candidates = Oracle::default().candidates(cluster, app, allowed);
+        let short = candidates.get(..5).unwrap_or(&candidates);
+        for (grid, lane_counts) in [(&candidates[..], &[1usize, 2, 3][..]), (short, &[7])] {
+            let reference = clone_per_candidate(cluster, app, budget, allowed, grid);
+            for &lanes in lane_counts {
+                let found = Oracle::search(cluster, app, budget, allowed, grid, lanes)
+                    .map(|idx| Oracle::plan_of(&grid[idx], budget, allowed));
+                assert_eq!(
+                    found,
+                    reference,
+                    "{} at {} W over {} candidates, {lanes} lanes",
+                    app.name(),
+                    budget.as_watts(),
+                    grid.len()
+                );
+            }
+        }
+        let plan = Oracle::default().plan_subset(&mut cluster.clone(), app, budget, allowed);
+        assert_eq!(
+            Some(plan),
+            clone_per_candidate(cluster, app, budget, allowed, &candidates)
+        );
+    }
+
+    #[test]
+    fn in_place_search_matches_clone_per_candidate() {
+        let cluster = Cluster::paper_testbed(2017);
+        let all: Vec<usize> = (0..cluster.len()).collect();
+        for app in [suite::comd(), suite::sp_mz(), suite::bt_mz()] {
+            for watts in [900.0, 1600.0] {
+                assert_search_matches_reference(&cluster, &app, Power::watts(watts), &all);
+            }
+        }
+        // Tight enough that the widest candidates do not fit.
+        assert_search_matches_reference(&cluster, &suite::amg(), Power::watts(12.0), &all);
+    }
+
+    #[test]
+    fn in_place_search_matches_with_a_crashed_node_and_cap_jitter() {
+        let mut crashed = Cluster::paper_testbed(2017);
+        crashed.fail_node(2);
+        let pool = crashed.alive_nodes();
+        assert_search_matches_reference(&crashed, &suite::tea_leaf(), Power::watts(1300.0), &pool);
+
+        // Jitter makes the enforced cap depend on the node, and the trial
+        // cluster carries it from candidate to candidate.
+        let mut jittered = Cluster::paper_testbed(2017);
+        jittered.node_mut(1).set_cap_jitter(0.08);
+        jittered.node_mut(5).set_cap_jitter(-0.05);
+        let all: Vec<usize> = (0..jittered.len()).collect();
+        assert_search_matches_reference(&jittered, &suite::lu_mz(), Power::watts(1100.0), &all);
     }
 }

@@ -9,8 +9,8 @@
 //!    — geomean gap of CLIP versus the exhaustive Oracle.
 //! 3. "The average improvements are close to 20% under low power budget."
 //!
-//! Run with `--fast` to skip the Oracle (it executes ~1500 configurations
-//! per benchmark × budget).
+//! Run with `--fast` to skip the Oracle (it executes 576 or 1,152
+//! configurations per benchmark × budget, 979 on average over Table II).
 
 use clip_bench::{
     allin_unbounded_reference, comparison_methods, emit, measure, oracle_performance, testbed,

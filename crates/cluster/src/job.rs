@@ -163,21 +163,22 @@ pub fn run_job<R: clip_obs::Recorder>(
         assert!(cluster.is_alive(id), "node {id} has crashed");
     }
     let n_nodes = spec.node_ids.len();
-    let scaled = spec.app.strong_scale(n_nodes);
+    let rank = spec.app.per_rank(n_nodes);
 
-    // Execute every rank under its own node's caps.
-    let reports: Vec<(usize, ExecutionReport)> = spec
+    // Execute every rank under its own node's caps; the barrier blend
+    // below fills in each outcome's wait fraction and average power.
+    let mut per_node: Vec<NodeOutcome> = spec
         .node_ids
         .iter()
         .map(|&id| {
-            let r = cluster.node_mut(id).execute(
-                &scaled,
+            let report = cluster.node_mut(id).execute(
+                &rank,
                 spec.threads_per_node,
                 spec.policy,
                 spec.iterations,
             );
             if rec.enabled_for(clip_obs::EventClass::Actuation) {
-                let op = &r.op;
+                let op = &report.op;
                 rec.event_with(epoch, clip_obs::EventClass::Actuation, || {
                     clip_obs::TraceEvent::DvfsResolved {
                         node: id,
@@ -187,41 +188,38 @@ pub fn run_job<R: clip_obs::Recorder>(
                     }
                 });
             }
-            (id, r)
+            NodeOutcome {
+                node_id: id,
+                report,
+                wait_fraction: 0.0,
+                avg_power: Power::ZERO,
+            }
         })
         .collect();
 
     // Synchronize: the slowest rank sets the pace.
-    let busy_max = reports
+    let busy_max = per_node
         .iter()
-        .map(|(_, r)| r.total_time)
+        .map(|n| n.report.total_time)
         .fold(TimeSpan::ZERO, TimeSpan::max);
     let comm_per_iter = TimeSpan::secs(spec.app.comm().time_secs(n_nodes));
     let total_time = busy_max + comm_per_iter * spec.iterations as f64;
     let iteration_time = total_time / spec.iterations as f64;
 
     // Blend busy and wait power per node.
-    let per_node: Vec<NodeOutcome> = reports
-        .into_iter()
-        .map(|(id, report)| {
-            let busy_frac = if total_time.as_secs() > 0.0 {
-                (report.total_time / total_time).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            let pm = cluster.node(id).power_model();
-            let sockets = cluster.node(id).topology().sockets() as f64;
-            let idle_power = (pm.socket_idle + pm.dram_base) * sockets * pm.efficiency;
-            let busy_power = report.avg_total_power();
-            let avg_power = busy_power * busy_frac + idle_power * (1.0 - busy_frac);
-            NodeOutcome {
-                node_id: id,
-                report,
-                wait_fraction: 1.0 - busy_frac,
-                avg_power,
-            }
-        })
-        .collect();
+    for n in &mut per_node {
+        let busy_frac = if total_time.as_secs() > 0.0 {
+            (n.report.total_time / total_time).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        let pm = cluster.node(n.node_id).power_model();
+        let sockets = cluster.node(n.node_id).topology().sockets() as f64;
+        let idle_power = (pm.socket_idle + pm.dram_base) * sockets * pm.efficiency;
+        let busy_power = n.report.avg_total_power();
+        n.avg_power = busy_power * busy_frac + idle_power * (1.0 - busy_frac);
+        n.wait_fraction = 1.0 - busy_frac;
+    }
 
     let cluster_power: Power = per_node.iter().map(|n| n.avg_power).sum();
     let max_node_power = per_node

@@ -1,8 +1,9 @@
 //! Fork-join helper for configuration sweeps.
 //!
 //! The exhaustive Oracle baseline and several figure harnesses evaluate
-//! hundreds of (nodes, threads, power-split) configurations; each
-//! evaluation clones the cluster, so they are embarrassingly parallel.
+//! hundreds of (nodes, threads, power-split) configurations that do not
+//! depend on each other, so they are embarrassingly parallel (the Oracle
+//! deals its grid into one lane per worker, each on its own cluster copy).
 //! [`parallel_map`] fans the work out over a bounded number of OS threads
 //! with `std::thread::scope` (no `'static` bound on the closure) and
 //! returns results in input order.

@@ -38,7 +38,7 @@ pub fn recommend_phase_plan(
         .iter()
         .enumerate()
         .map(|(i, phase)| {
-            let single = AppModel::new(format!("{}#p{}", app.name(), i), vec![phase.clone()])
+            let single = AppModel::new(format!("{}#p{}", app.name(), i), vec![*phase])
                 .with_odd_penalty(app.odd_penalty());
             let mut profile = profiler.profile(node, &single);
             if profile.class == ScalabilityClass::Linear {
@@ -81,7 +81,7 @@ pub fn exhaustive_phase_plan(node: &mut Node, app: &AppModel) -> PhasePlan {
         .iter()
         .enumerate()
         .map(|(i, phase)| {
-            let single = AppModel::new(format!("{}#p{}", app.name(), i), vec![phase.clone()])
+            let single = AppModel::new(format!("{}#p{}", app.name(), i), vec![*phase])
                 .with_odd_penalty(app.odd_penalty());
             let mut best = (1usize, node.execute(&single, 1, policy, 1).performance());
             for n in 2..=node.topology().total_cores() {
@@ -102,8 +102,7 @@ pub fn phase_inflection(node: &mut Node, app: &AppModel, phase_idx: usize) -> us
     let Some(phase) = app.phases().get(phase_idx) else {
         return 1;
     };
-    let single =
-        AppModel::new("phase-probe", vec![phase.clone()]).with_odd_penalty(app.odd_penalty());
+    let single = AppModel::new("phase-probe", vec![*phase]).with_odd_penalty(app.odd_penalty());
     let profile = SmartProfiler::default().profile(node, &single);
     actual_inflection(node, &single, profile.policy, profile.class)
 }

@@ -7,10 +7,10 @@
 //! it, and adds what the cluster level needs:
 //!
 //! - **strong scaling**: [`AppModel::strong_scale`] divides the
-//!   parallelizable work and memory volume of every phase across MPI ranks,
-//!   leaving serial and contention terms per-node (surface-to-volume: the
-//!   synchronization cost of an iteration does not shrink with the local
-//!   domain).
+//!   parallel compute, memory volume and contention work of every phase
+//!   across MPI ranks, leaving the serial term per-node.
+//!   [`AppModel::per_rank`] is the same per-rank workload as a borrowed
+//!   view, which the job executor runs without building a derived model.
 //! - **communication**: a [`CommModel`] adds `alpha + beta·(N−1)^gamma`
 //!   seconds per iteration when N > 1 nodes cooperate.
 //! - **odd-concurrency penalty**: the paper observes that odd thread counts
@@ -145,27 +145,28 @@ impl AppModel {
     }
 
     /// The per-rank model when this application strong-scales over `nodes`
-    /// ranks: parallel compute and memory volume divide; serial and
-    /// contention terms stay per-node.
+    /// ranks: parallel compute, memory volume and contention work divide;
+    /// the serial term stays per-node. An owned copy of
+    /// [`AppModel::per_rank`]'s view, named `"<app>@<nodes>n"`.
     pub fn strong_scale(&self, nodes: usize) -> AppModel {
-        assert!(nodes >= 1, "strong_scale needs at least one node");
-        let f = nodes as f64;
-        let phases = self
-            .phases
-            .iter()
-            .map(|p| Phase {
-                parallel_gcycles: p.parallel_gcycles / f,
-                mem_gbytes: p.mem_gbytes / f,
-                contention_gcycles: p.contention_gcycles / f,
-                ..p.clone()
-            })
-            .collect();
         AppModel {
             name: format!("{}@{}n", self.name, nodes),
-            phases,
+            phases: self.per_rank(nodes).phases().collect(),
             comm: self.comm.clone(),
             odd_penalty: self.odd_penalty,
             preferred_node_counts: self.preferred_node_counts.clone(),
+        }
+    }
+
+    /// A borrowed view of one rank's share when this application
+    /// strong-scales over `nodes` ranks. As a [`NodeWorkload`] it gives
+    /// the same bits as [`AppModel::strong_scale`] without allocating;
+    /// only its name is the whole application's.
+    pub fn per_rank(&self, nodes: usize) -> RankView<'_> {
+        assert!(nodes >= 1, "strong scaling needs at least one node");
+        RankView {
+            app: self,
+            ranks: nodes as f64,
         }
     }
 
@@ -185,16 +186,38 @@ impl AppModel {
     }
 }
 
-impl NodeWorkload for AppModel {
+/// One rank's share of an [`AppModel`] strong-scaled over `ranks` ranks
+/// (see [`AppModel::per_rank`]). The whole application is the view at one
+/// rank, where every division by 1.0 is exact, so the two share one set
+/// of workload formulas.
+#[derive(Debug, Clone, Copy)]
+pub struct RankView<'a> {
+    app: &'a AppModel,
+    ranks: f64,
+}
+
+impl RankView<'_> {
+    /// The application's phases as this rank executes them.
+    fn phases(&self) -> impl Iterator<Item = Phase> + '_ {
+        self.app.phases.iter().map(|p| Phase {
+            parallel_gcycles: p.parallel_gcycles / self.ranks,
+            mem_gbytes: p.mem_gbytes / self.ranks,
+            contention_gcycles: p.contention_gcycles / self.ranks,
+            ..*p
+        })
+    }
+}
+
+impl NodeWorkload for RankView<'_> {
     fn name(&self) -> &str {
-        &self.name
+        &self.app.name
     }
 
     fn iteration_time(&self, op: &OperatingPoint) -> TimeSpan {
-        let mut t: f64 = self.phases.iter().map(|p| p.time_secs(op)).sum();
+        let mut t: f64 = self.phases().map(|p| p.time_secs(op)).sum();
         let n = op.threads();
         if n > 1 && n % 2 == 1 {
-            t *= 1.0 + self.odd_penalty;
+            t *= 1.0 + self.app.odd_penalty;
         }
         TimeSpan::secs(t)
     }
@@ -202,7 +225,7 @@ impl NodeWorkload for AppModel {
     fn traffic_per_iteration(&self, _op: &OperatingPoint) -> (f64, f64) {
         let mut read = 0.0;
         let mut write = 0.0;
-        for p in &self.phases {
+        for p in self.phases() {
             let (r, w) = p.traffic_bytes();
             read += r;
             write += w;
@@ -213,50 +236,82 @@ impl NodeWorkload for AppModel {
     fn instructions_per_iteration(&self, threads: usize) -> f64 {
         // A small per-thread bookkeeping overhead keeps instruction counts
         // weakly increasing in concurrency, as real runtimes show.
-        let base: f64 = self.phases.iter().map(Phase::instructions).sum();
+        let base: f64 = self.phases().map(|p| p.instructions()).sum();
         base * (1.0 + 0.002 * (threads.saturating_sub(1)) as f64)
     }
 
     fn cpu_activity(&self) -> f64 {
         // Cycle-weighted blend across phases.
-        let total: f64 = self.phases.iter().map(Phase::total_gcycles).sum();
+        let total: f64 = self.phases().map(|p| p.total_gcycles()).sum();
         if total <= 0.0 {
             return 0.5;
         }
-        self.phases
-            .iter()
+        self.phases()
             .map(|p| p.cpu_activity * p.total_gcycles())
             .sum::<f64>()
             / total
     }
 
     fn shared_data_fraction(&self) -> f64 {
-        let total: f64 = self.phases.iter().map(|p| p.mem_gbytes).sum();
+        let total: f64 = self.phases().map(|p| p.mem_gbytes).sum();
         if total <= 0.0 {
-            return self.phases[0].shared_frac;
+            return self.app.phases[0].shared_frac;
         }
-        self.phases
-            .iter()
+        self.phases()
             .map(|p| p.shared_frac * p.mem_gbytes)
             .sum::<f64>()
             / total
     }
 
     fn icache_mpki(&self) -> f64 {
-        let total: f64 = self.phases.iter().map(Phase::instructions).sum();
+        let total: f64 = self.phases().map(|p| p.instructions()).sum();
         if total <= 0.0 {
             return 0.5;
         }
-        self.phases
-            .iter()
+        self.phases()
             .map(|p| p.icache_mpki * p.instructions())
             .sum::<f64>()
             / total
     }
 
     fn burst_bandwidth_demand(&self, op: &OperatingPoint) -> simkit::Bandwidth {
+        // Per-thread demand is a rate, which strong scaling leaves alone.
         let f = op.frequency().as_ghz();
-        simkit::Bandwidth::gbps(self.peak_bandwidth_demand_gbps(op.threads(), f))
+        simkit::Bandwidth::gbps(self.app.peak_bandwidth_demand_gbps(op.threads(), f))
+    }
+}
+
+impl NodeWorkload for AppModel {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn iteration_time(&self, op: &OperatingPoint) -> TimeSpan {
+        self.per_rank(1).iteration_time(op)
+    }
+
+    fn traffic_per_iteration(&self, op: &OperatingPoint) -> (f64, f64) {
+        self.per_rank(1).traffic_per_iteration(op)
+    }
+
+    fn instructions_per_iteration(&self, threads: usize) -> f64 {
+        self.per_rank(1).instructions_per_iteration(threads)
+    }
+
+    fn cpu_activity(&self) -> f64 {
+        self.per_rank(1).cpu_activity()
+    }
+
+    fn shared_data_fraction(&self) -> f64 {
+        self.per_rank(1).shared_data_fraction()
+    }
+
+    fn icache_mpki(&self) -> f64 {
+        self.per_rank(1).icache_mpki()
+    }
+
+    fn burst_bandwidth_demand(&self, op: &OperatingPoint) -> simkit::Bandwidth {
+        self.per_rank(1).burst_bandwidth_demand(op)
     }
 }
 
@@ -356,8 +411,8 @@ mod tests {
             mem_gbytes: 0.0,
             ..Phase::default()
         };
-        let a1 = AppModel::new("a1", vec![p1.clone()]).with_odd_penalty(0.0);
-        let a2 = AppModel::new("a2", vec![p2.clone()]).with_odd_penalty(0.0);
+        let a1 = AppModel::new("a1", vec![p1]).with_odd_penalty(0.0);
+        let a2 = AppModel::new("a2", vec![p2]).with_odd_penalty(0.0);
         let both = AppModel::new("both", vec![p1, p2]).with_odd_penalty(0.0);
         let op = node.resolve(&both, 12, AffinityPolicy::Compact);
         let sum = a1.iteration_time(&op).as_secs() + a2.iteration_time(&op).as_secs();

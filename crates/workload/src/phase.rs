@@ -26,7 +26,7 @@ use simnode::OperatingPoint;
 pub const NOMINAL_FREQ_GHZ: f64 = 2.3;
 
 /// One execution phase of an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Phase {
     /// Non-parallelizable work, in giga-cycles per iteration.
     pub serial_gcycles: f64,
@@ -194,7 +194,7 @@ mod tests {
 
     fn op_at(phase: &Phase, threads: usize) -> OperatingPoint {
         let node = Node::haswell();
-        node.resolve(&PhaseProbe(phase.clone()), threads, AffinityPolicy::Scatter)
+        node.resolve(&PhaseProbe(*phase), threads, AffinityPolicy::Scatter)
     }
 
     #[test]

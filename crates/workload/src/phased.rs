@@ -86,7 +86,7 @@ pub fn execute_phased(
     for (phase, &threads) in app.phases().iter().zip(&plan.threads) {
         // Each phase runs as a single-phase application, inheriting the
         // parent's odd-concurrency penalty.
-        let single = AppModel::new(format!("{}#phase", app.name()), vec![phase.clone()])
+        let single = AppModel::new(format!("{}#phase", app.name()), vec![*phase])
             .with_odd_penalty(app.odd_penalty());
         let report = node.execute(&single, threads, plan.policy, iterations);
         total_time += report.total_time;

@@ -4,17 +4,66 @@
 //! self-consistent.
 
 use proptest::prelude::*;
+use simkit::Power;
 use simkit::SimRng;
-use simnode::{AffinityPolicy, Node, NodeWorkload};
-use workload::{corpus, ScalabilityClass};
+use simnode::{AffinityPolicy, Node, NodeWorkload, OperatingPoint, PowerCaps};
+use workload::{corpus, suite, ScalabilityClass};
 
 fn perf(node: &mut Node, app: &workload::AppModel, threads: usize) -> f64 {
     node.execute(app, threads, AffinityPolicy::Scatter, 1)
         .performance()
 }
 
+/// Every number a [`NodeWorkload`] reports at `op`, as raw bits.
+fn workload_bits<W: NodeWorkload>(w: &W, op: &OperatingPoint) -> [u64; 8] {
+    let (read, write) = w.traffic_per_iteration(op);
+    [
+        w.iteration_time(op).as_secs().to_bits(),
+        read.to_bits(),
+        write.to_bits(),
+        w.instructions_per_iteration(op.threads()).to_bits(),
+        w.cpu_activity().to_bits(),
+        w.shared_data_fraction().to_bits(),
+        w.icache_mpki().to_bits(),
+        w.burst_bandwidth_demand(op).as_gbps().to_bits(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The borrowed per-rank view is `strong_scale` without the copy: on
+    /// every workload method it gives the same bits, for corpus draws of
+    /// all three classes and BT-MZ's two phases, at odd and even thread
+    /// counts under a binding CPU cap.
+    #[test]
+    fn per_rank_view_is_strong_scale_bit_for_bit(
+        seed in any::<u64>(),
+        kind in 0usize..4,
+        nodes in 1usize..=16,
+        threads in 1usize..=24,
+        cpu_cap in 40.0f64..240.0,
+        scatter in any::<bool>(),
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let app = match kind {
+            0 => corpus::gen_linear(&mut rng, 0),
+            1 => corpus::gen_logarithmic(&mut rng, 0),
+            2 => corpus::gen_parabolic(&mut rng, 0),
+            _ => suite::bt_mz(),
+        };
+        let policy = if scatter { AffinityPolicy::Scatter } else { AffinityPolicy::Compact };
+        let scaled = app.strong_scale(nodes);
+        let view = app.per_rank(nodes);
+        let mut node = Node::haswell();
+        node.set_caps(PowerCaps::new(Power::watts(cpu_cap), Power::watts(40.0)));
+        let op = node.resolve(&scaled, threads, policy);
+        prop_assert_eq!(&node.resolve(&view, threads, policy), &op);
+        prop_assert_eq!(workload_bits(&view, &op), workload_bits(&scaled, &op));
+        prop_assert_eq!(view.name(), app.name());
+        // The whole application is the view at one rank.
+        prop_assert_eq!(workload_bits(&app, &op), workload_bits(&app.per_rank(1), &op));
+    }
 
     /// Linear corpus draws: speedup from 6 to 12 threads stays near 2x.
     #[test]

@@ -93,6 +93,33 @@ cargo test --workspace --offline -q
 echo "==> clipbench tests"
 cargo test --offline --manifest-path clipbench/Cargo.toml -q
 
+# Those tests run smoke sizes. The full-size pinned report fingerprints
+# (every Oracle plan of the paper grid among them, at seeds 2017 and
+# 90210) are checked by every benchmark run before it times anything, so
+# a one-second run of each workload with BENCHMARK.json's command gates
+# them. The benchmark exits 0 even when a check fails, so the stage reads
+# its JSON result line (the last line of standard output).
+echo "==> benchmark pins (every workload, 1 s at seed 2017)"
+python3 - <<'PY'
+import json, subprocess, sys
+
+bench = json.load(open("BENCHMARK.json"))
+for workload in bench["workloads"]:
+    name = workload["name"]
+    cmd = bench["command"] + [
+        "--workload", name, "--seed", "2017", "--seconds", "1", "--trace", "0",
+    ]
+    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if result.get("failed") != 0 or not result.get("attempted"):
+        sys.exit(
+            f"benchmark {name}: {result.get('failed')} of "
+            f"{result.get('attempted')} rounds failed their checks"
+        )
+    print(f"    {name} ok: {result['attempted']} rounds, 0 failed")
+PY
+
 # Gate the full fault-injection path end to end: scheduler -> fault plan ->
 # degraded epoch -> re-coordination -> ledger classification. The smoke
 # plan (4 nodes, one crash, 3 epochs) keeps this well under five seconds.
