@@ -8,37 +8,136 @@
 //! paper's own testbed is "quite homogeneous" — shifts CPU budget from
 //! thrifty to leaky nodes so everyone sustains the same frequency. The
 //! total budget is preserved exactly.
+//!
+//! Like Inadomi et al.'s one-time power-variation table, the probe runs
+//! once per node power state: a [`CalibrationTable`] keeps each node's
+//! probe power with the efficiency factor and cap jitter it was measured
+//! at, and re-probes a node only when one of them has changed.
 
-use cluster_sim::Cluster;
+use crate::audit::BudgetLedger;
+use cluster_sim::{Cluster, VariabilityModel};
 use simkit::Power;
-use simnode::{AffinityPolicy, PowerCaps};
-use workload::suite;
+use simnode::{AffinityPolicy, Node, PowerCaps};
+use workload::{suite, AppModel};
 
 /// Measure each listed node's relative power appetite: run a short,
 /// identical compute-bound probe uncapped and compare package powers.
 /// Returns mean-normalized factors (1.0 = average node).
 pub fn measure_efficiencies(cluster: &mut Cluster, node_ids: &[usize]) -> Vec<f64> {
-    let Some(&first_id) = node_ids.first() else {
-        return Vec::new();
-    };
-    let probe = suite::ep_like();
-    let threads = cluster.node(first_id).topology().total_cores();
-    let mut powers = Vec::with_capacity(node_ids.len());
-    for &id in node_ids {
-        let node = cluster.node_mut(id);
-        let saved = node.caps();
-        node.set_caps(PowerCaps::unlimited());
-        let report = node.execute(&probe, threads, AffinityPolicy::Compact, 1);
-        node.set_caps(saved);
-        powers.push(report.avg_pkg_power.as_watts());
-    }
-    let mean = powers.iter().sum::<f64>() / powers.len() as f64;
-    powers.into_iter().map(|p| p / mean).collect()
+    let mut fresh = CalibrationTable::default();
+    fresh.measure(cluster, node_ids);
+    fresh.ranked.into_iter().map(|(_, f)| f).collect()
 }
 
-/// Relative spread `(max − min)/min` of measured factors.
-pub fn spread(factors: &[f64]) -> f64 {
-    cluster_sim::VariabilityModel::spread(factors)
+/// The node inputs a probe's package power depends on that can change
+/// after the cluster is built: the efficiency factor (drift and straggle
+/// faults) and the RAPL actuation jitter. Topology, P-states, memory and
+/// the rest of the power model are fixed when `Cluster` builds the node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PowerState {
+    efficiency: f64,
+    cap_jitter: f64,
+}
+
+impl PowerState {
+    fn of(node: &Node) -> Self {
+        Self {
+            efficiency: node.power_model().efficiency,
+            cap_jitter: node.cap_jitter(),
+        }
+    }
+}
+
+/// Per-node probe powers, each measured once per node power state.
+///
+/// Every lookup compares the node's current efficiency factor and cap
+/// jitter with the ones its entry was measured at, so an entry cannot go
+/// stale however the node was changed (a fault, a test, a caller holding
+/// `&mut Cluster`) and nothing has to tell the table about it. A skipped
+/// probe executes nothing, so it advances no RAPL counter and draws no
+/// simulated energy. Entries are keyed by node index and depend only on
+/// the node's state, so one table serves every clone of a cluster.
+#[derive(Debug, Clone, Default)]
+pub struct CalibrationTable {
+    entries: Vec<Option<(PowerState, Power)>>,
+    /// Scratch: `(node, factor)` of the pool being measured.
+    ranked: Vec<(usize, f64)>,
+}
+
+impl CalibrationTable {
+    /// Fill `ranked` with the mean-normalized factors of `node_ids`, in
+    /// order, with [`measure_efficiencies`]'s float operations.
+    fn measure(&mut self, cluster: &mut Cluster, node_ids: &[usize]) {
+        self.ranked.clear();
+        let Some(&first_id) = node_ids.first() else {
+            return;
+        };
+        let threads = cluster.node(first_id).topology().total_cores();
+        if self.entries.len() < cluster.len() {
+            self.entries.resize(cluster.len(), None);
+        }
+        self.ranked.reserve(node_ids.len());
+        let mut probe = None;
+        for &id in node_ids {
+            let power = self.probe_power(cluster.node_mut(id), id, threads, &mut probe);
+            self.ranked.push((id, power.as_watts()));
+        }
+        let mean = self.ranked.iter().map(|&(_, p)| p).sum::<f64>() / self.ranked.len() as f64;
+        for (_, p) in &mut self.ranked {
+            *p /= mean;
+        }
+    }
+
+    /// Node `id`'s probe package power: the stored one while the node is
+    /// in the state it was measured at, else a fresh uncapped probe run
+    /// (the `ep_like` model is built on the first such miss).
+    fn probe_power(
+        &mut self,
+        node: &mut Node,
+        id: usize,
+        threads: usize,
+        probe: &mut Option<AppModel>,
+    ) -> Power {
+        let state = PowerState::of(node);
+        if let Some(&Some((measured_at, power))) = self.entries.get(id) {
+            if measured_at == state {
+                return power;
+            }
+        }
+        let probe = probe.get_or_insert_with(suite::ep_like);
+        let saved = node.caps();
+        node.set_caps(PowerCaps::unlimited());
+        let report = node.execute(probe, threads, AffinityPolicy::Compact, 1);
+        node.set_caps(saved);
+        if let Some(entry) = self.entries.get_mut(id) {
+            *entry = Some((state, report.avg_pkg_power));
+        }
+        report.avg_pkg_power
+    }
+
+    /// Rank `pool` by measured power factor, keep its `n` thriftiest
+    /// nodes, and shift CPU budget among them from `uniform` when their
+    /// spread exceeds `threshold`, audited as zero-sum on `ledger`.
+    /// Returns the kept nodes (lowest factor first), their caps, and the
+    /// spread of their factors.
+    pub fn select_and_shift(
+        &mut self,
+        cluster: &mut Cluster,
+        pool: &[usize],
+        n: usize,
+        uniform: PowerCaps,
+        threshold: f64,
+        ledger: &BudgetLedger,
+    ) -> (Vec<usize>, Vec<PowerCaps>, f64) {
+        self.measure(cluster, pool);
+        self.ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        self.ranked.truncate(n);
+        let factors: Vec<f64> = self.ranked.iter().map(|&(_, f)| f).collect();
+        let caps = coordinate_caps(uniform, &factors, threshold);
+        ledger.audit_shift(&vec![uniform; caps.len()], &caps);
+        let ids = self.ranked.iter().map(|&(id, _)| id).collect();
+        (ids, caps, VariabilityModel::spread(&factors))
+    }
 }
 
 /// Redistribute per-node CPU caps proportionally to the measured power
@@ -48,7 +147,7 @@ pub fn spread(factors: &[f64]) -> f64 {
 pub fn coordinate_caps(uniform: PowerCaps, factors: &[f64], threshold: f64) -> Vec<PowerCaps> {
     assert!(!factors.is_empty());
     assert!(threshold >= 0.0);
-    if spread(factors) <= threshold {
+    if VariabilityModel::spread(factors) <= threshold {
         return vec![uniform; factors.len()];
     }
     let mean = factors.iter().sum::<f64>() / factors.len() as f64;
@@ -64,7 +163,6 @@ pub fn coordinate_caps(uniform: PowerCaps, factors: &[f64], threshold: f64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster_sim::VariabilityModel;
 
     #[test]
     fn homogeneous_fleet_measures_flat() {

@@ -12,7 +12,7 @@
 //! node and thread counts to the launch specification.
 
 use crate::audit::BudgetLedger;
-use crate::coordinate;
+use crate::coordinate::CalibrationTable;
 use crate::knowledge::{KnowledgeDb, KnowledgeRecord};
 use crate::powerfit::FittedPowerModel;
 use crate::profile::SmartProfiler;
@@ -22,6 +22,7 @@ use cluster_sim::Cluster;
 use serde::{Deserialize, Serialize};
 use simkit::Power;
 use simnode::AffinityPolicy;
+use std::borrow::Cow;
 use workload::AppModel;
 
 /// A user-pinned launch configuration.
@@ -40,6 +41,7 @@ pub struct FixedLaunch {
 pub struct RuntimeCoordinator {
     profiler: SmartProfiler,
     db: KnowledgeDb,
+    calibration: CalibrationTable,
     /// Inter-node variability shifting (as in the full scheduler).
     pub coordinate_variability: bool,
     /// Spread threshold for engaging coordination.
@@ -51,6 +53,7 @@ impl Default for RuntimeCoordinator {
         Self {
             profiler: SmartProfiler::default(),
             db: KnowledgeDb::new(),
+            calibration: CalibrationTable::default(),
             coordinate_variability: true,
             variability_threshold: 0.02,
         }
@@ -88,7 +91,7 @@ impl RuntimeCoordinator {
         );
 
         let record = match self.db.get(app.name()) {
-            Some(r) => r.clone(),
+            Some(r) => Cow::Borrowed(r),
             None => {
                 let profile = self.profiler.profile(cluster.node_mut(0), app);
                 let r = KnowledgeRecord {
@@ -96,7 +99,7 @@ impl RuntimeCoordinator {
                     np: launch.threads_per_node,
                 };
                 self.db.insert(r.clone());
-                r
+                Cow::Owned(r)
             }
         };
         let power_model = FittedPowerModel::fit(&record.profile);
@@ -119,19 +122,15 @@ impl RuntimeCoordinator {
         let ledger = BudgetLedger::new("CLIP-runtime", budget);
         let (node_ids, caps) = if self.coordinate_variability {
             let all_ids: Vec<usize> = (0..cluster.len()).collect();
-            let factors = coordinate::measure_efficiencies(cluster, &all_ids);
-            let mut ranked: Vec<(usize, f64)> = all_ids.into_iter().zip(factors).collect();
-            ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let selected: Vec<usize> = ranked
-                .iter()
-                .take(launch.nodes)
-                .map(|&(id, _)| id)
-                .collect();
-            let sel: Vec<f64> = ranked.iter().take(launch.nodes).map(|&(_, f)| f).collect();
-            let before = vec![split.caps; sel.len()];
-            let caps = coordinate::coordinate_caps(split.caps, &sel, self.variability_threshold);
-            ledger.audit_shift(&before, &caps);
-            (selected, caps)
+            let (node_ids, caps, _) = self.calibration.select_and_shift(
+                cluster,
+                &all_ids,
+                launch.nodes,
+                split.caps,
+                self.variability_threshold,
+                &ledger,
+            );
+            (node_ids, caps)
         } else {
             ((0..launch.nodes).collect(), vec![split.caps; launch.nodes])
         };

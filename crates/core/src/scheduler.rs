@@ -12,10 +12,17 @@
 //! model fitting → cluster allocation → node selection → optional
 //! variability coordination. [`execute_plan`] programs the caps and runs
 //! the job, returning the measured [`JobReport`].
+//!
+//! A warm scheduler re-does none of this work while its inputs stand
+//! still: it fits an app's models once per knowledge record, re-runs
+//! Algorithm 1 only when the budget, the pool size or another input of
+//! [`allocate_cluster`] changed since the app's last plan, and probes a
+//! node only when its power state changed (see [`CalibrationTable`]).
+//! Every plan is the one the full pipeline would compute.
 
-use crate::allocate::allocate_cluster;
+use crate::allocate::{allocate_cluster, ClusterAllocation};
 use crate::audit::BudgetLedger;
-use crate::coordinate;
+use crate::coordinate::CalibrationTable;
 use crate::knowledge::{KnowledgeDb, KnowledgeRecord};
 use crate::mlr::InflectionPredictor;
 use crate::perfmodel::NodePerfModel;
@@ -25,6 +32,8 @@ use cluster_sim::{run_job, Cluster, JobReport, JobSpec};
 use serde::{Deserialize, Serialize};
 use simkit::Power;
 use simnode::{AffinityPolicy, PowerCaps};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use workload::{AppModel, ScalabilityClass};
 
 /// A fully resolved scheduling decision.
@@ -195,6 +204,10 @@ pub struct ClipScheduler {
     profiler: SmartProfiler,
     predictor: InflectionPredictor,
     db: KnowledgeDb,
+    /// By app name: the models fitted to its record in `db`, and its last
+    /// allocation.
+    fitted: BTreeMap<String, FittedApp>,
+    calibration: CalibrationTable,
     /// Enable inter-node variability coordination (§III-B2).
     pub coordinate_variability: bool,
     /// Spread threshold above which coordination engages.
@@ -214,6 +227,8 @@ impl ClipScheduler {
             profiler: SmartProfiler::default(),
             predictor,
             db: KnowledgeDb::new(),
+            fitted: BTreeMap::new(),
+            calibration: CalibrationTable::default(),
             coordinate_variability: true,
             variability_threshold: 0.02,
             floor_even: true,
@@ -223,9 +238,11 @@ impl ClipScheduler {
         }
     }
 
-    /// Build with a pre-populated knowledge database.
+    /// Build with a pre-populated knowledge database. Models fitted to
+    /// the previous database's records are dropped with it.
     pub fn with_knowledge_db(mut self, db: KnowledgeDb) -> Self {
         self.db = db;
+        self.fitted.clear();
         self
     }
 
@@ -239,19 +256,11 @@ impl ClipScheduler {
         self.profiles_performed
     }
 
-    /// Profile on cluster node `probe` (or return the cached record) and
-    /// predict the inflection point. The probe node must be one the caller
-    /// is allowed to use — after a crash, profiling must not touch the
-    /// dead node.
-    fn record_for(
-        &mut self,
-        cluster: &mut Cluster,
-        app: &AppModel,
-        probe: usize,
-    ) -> KnowledgeRecord {
-        if let Some(r) = self.db.get(app.name()) {
-            return r.clone();
-        }
+    /// Profile on cluster node `probe`, predict the inflection point and
+    /// remember the record. The probe node must be one the caller is
+    /// allowed to use — after a crash, profiling must not touch the dead
+    /// node.
+    fn profile(&mut self, cluster: &mut Cluster, app: &AppModel, probe: usize) -> KnowledgeRecord {
         self.profiles_performed += 1;
         let node = cluster.node_mut(probe);
         let mut profile = self.profiler.profile(node, app);
@@ -270,6 +279,91 @@ impl ClipScheduler {
         self.db.insert(record.clone());
         record
     }
+
+    /// Algorithm 1's allocation for `app` over a pool of `pool` nodes,
+    /// profiling on a knowledge-DB miss. The models are fitted once per
+    /// record, and the search re-runs only when one of its inputs changed
+    /// since the app's last plan.
+    fn allocation(
+        &mut self,
+        cluster: &mut Cluster,
+        app: &AppModel,
+        budget: Power,
+        pool: usize,
+        probe: usize,
+    ) -> ClusterAllocation {
+        let total_cores = cluster.node(probe).topology().total_cores();
+        let record = match self.db.get(app.name()) {
+            Some(record) => Cow::Borrowed(record),
+            None => Cow::Owned(self.profile(cluster, app, probe)),
+        };
+        let fitted = match self.fitted.get_mut(app.name()) {
+            Some(fitted) => fitted,
+            None => self
+                .fitted
+                .entry(app.name().to_string())
+                .or_insert_with(|| FittedApp::fit(&record)),
+        };
+        let budget_bits = budget.as_watts().to_bits();
+        let preferred = app.preferred_node_counts();
+        if let Some(last) = &fitted.last {
+            if last.budget_bits == budget_bits
+                && last.pool == pool
+                && last.total_cores == total_cores
+                && last.preferred == preferred
+            {
+                return last.allocation.clone();
+            }
+        }
+        let allocation = allocate_cluster(
+            budget,
+            pool,
+            preferred,
+            &record.profile,
+            &fitted.perf_model,
+            &fitted.power_model,
+            total_cores,
+        );
+        fitted.last = Some(LastAllocation {
+            budget_bits,
+            pool,
+            total_cores,
+            preferred: preferred.to_vec(),
+            allocation: allocation.clone(),
+        });
+        allocation
+    }
+}
+
+/// The models fitted to one knowledge record, and Algorithm 1's last
+/// allocation with the inputs it was computed from.
+#[derive(Debug, Clone)]
+struct FittedApp {
+    perf_model: NodePerfModel,
+    power_model: FittedPowerModel,
+    last: Option<LastAllocation>,
+}
+
+impl FittedApp {
+    fn fit(record: &KnowledgeRecord) -> Self {
+        Self {
+            perf_model: NodePerfModel::from_profile(&record.profile, record.np),
+            power_model: FittedPowerModel::fit(&record.profile),
+            last: None,
+        }
+    }
+}
+
+/// Algorithm 1's last allocation for one app, with every input of
+/// [`allocate_cluster`] it was computed from besides the app's record and
+/// fitted models. The budget is compared by its bits.
+#[derive(Debug, Clone)]
+struct LastAllocation {
+    budget_bits: u64,
+    pool: usize,
+    total_cores: usize,
+    preferred: Vec<usize>,
+    allocation: ClusterAllocation,
 }
 
 impl ClipScheduler {
@@ -291,20 +385,7 @@ impl ClipScheduler {
             assert!(id < cluster.len(), "node {id} out of range");
         }
         let probe = allowed_nodes.first().copied().unwrap_or(0);
-        let total_cores = cluster.node(probe).topology().total_cores();
-        let record = self.record_for(cluster, app, probe);
-        let perf_model = NodePerfModel::from_profile(&record.profile, record.np);
-        let power_model = FittedPowerModel::fit(&record.profile);
-
-        let allocation = allocate_cluster(
-            budget,
-            allowed_nodes.len(),
-            app.preferred_node_counts(),
-            &record.profile,
-            &perf_model,
-            &power_model,
-            total_cores,
-        );
+        let allocation = self.allocation(cluster, app, budget, allowed_nodes.len(), probe);
         let n = allocation.nodes;
         let uniform = allocation.node_config.caps;
         let ledger = BudgetLedger::new(self.name(), budget);
@@ -317,26 +398,23 @@ impl ClipScheduler {
         }
 
         let (node_ids, caps) = if self.coordinate_variability {
-            let factors = coordinate::measure_efficiencies(cluster, allowed_nodes);
-            let mut ranked: Vec<(usize, f64)> =
-                allowed_nodes.iter().copied().zip(factors).collect();
-            ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let selected: Vec<usize> = ranked.iter().take(n).map(|&(id, _)| id).collect();
-            let sel_factors: Vec<f64> = ranked.iter().take(n).map(|&(_, f)| f).collect();
+            let (node_ids, caps, spread) = self.calibration.select_and_shift(
+                cluster,
+                allowed_nodes,
+                n,
+                uniform,
+                self.variability_threshold,
+                &ledger,
+            );
             if self.trace_decisions {
-                let spread = coordinate::spread(&sel_factors);
                 self.decisions
                     .push(clip_obs::TraceEvent::CoordinateMeasured {
-                        pool: selected.clone(),
+                        pool: node_ids.clone(),
                         spread,
                         engaged: spread > self.variability_threshold,
                     });
             }
-            let before = vec![uniform; sel_factors.len()];
-            let caps =
-                coordinate::coordinate_caps(uniform, &sel_factors, self.variability_threshold);
-            ledger.audit_shift(&before, &caps);
-            (selected, caps)
+            (node_ids, caps)
         } else {
             (
                 allowed_nodes.iter().copied().take(n).collect(),
@@ -394,6 +472,7 @@ impl PowerScheduler for ClipScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinate;
     use workload::suite;
 
     fn scheduler() -> ClipScheduler {
@@ -552,6 +631,141 @@ mod tests {
         let mut clip = scheduler();
         let app = suite::comd();
         let _ = clip.plan_subset(&mut cluster, &app, Power::watts(500.0), &[]);
+    }
+
+    /// CLIP's plan computed from scratch on the cluster's current state:
+    /// fresh probes, freshly fitted models and a fresh Algorithm 1 search,
+    /// ranked and shifted as `plan_constrained` does. The warm scheduler's
+    /// caches are checked against it.
+    fn uncached_plan(
+        clip: &ClipScheduler,
+        cluster: &Cluster,
+        app: &AppModel,
+        budget: Power,
+        pool: &[usize],
+    ) -> SchedulePlan {
+        let record = clip.knowledge().get(app.name()).expect("profiled");
+        let allocation = allocate_cluster(
+            budget,
+            pool.len(),
+            app.preferred_node_counts(),
+            &record.profile,
+            &NodePerfModel::from_profile(&record.profile, record.np),
+            &FittedPowerModel::fit(&record.profile),
+            cluster.node(pool[0]).topology().total_cores(),
+        );
+        let factors = coordinate::measure_efficiencies(&mut cluster.clone(), pool);
+        let mut ranked: Vec<(usize, f64)> = pool.iter().copied().zip(factors).collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ranked.truncate(allocation.nodes);
+        let factors: Vec<f64> = ranked.iter().map(|&(_, f)| f).collect();
+        let uniform = allocation.node_config.caps;
+        SchedulePlan {
+            scheduler: "CLIP".to_string(),
+            node_ids: ranked.iter().map(|&(id, _)| id).collect(),
+            threads_per_node: allocation.node_config.threads,
+            policy: allocation.node_config.policy,
+            caps: coordinate::coordinate_caps(uniform, &factors, clip.variability_threshold),
+        }
+    }
+
+    fn assert_same_plan(got: &SchedulePlan, want: &SchedulePlan, what: &str) {
+        let bits = |p: &SchedulePlan| -> Vec<(u64, u64)> {
+            p.caps
+                .iter()
+                .map(|c| (c.cpu.as_watts().to_bits(), c.dram.as_watts().to_bits()))
+                .collect()
+        };
+        assert_eq!(got.node_ids, want.node_ids, "{what}: node ids");
+        assert_eq!(got.threads_per_node, want.threads_per_node, "{what}");
+        assert_eq!(got.policy, want.policy, "{what}");
+        assert_eq!(bits(got), bits(want), "{what}: cap bits");
+    }
+
+    #[test]
+    fn warm_plans_match_plans_computed_from_scratch() {
+        let mut cluster =
+            Cluster::with_variability(8, &cluster_sim::VariabilityModel::with_sigma(0.08), 21);
+        let mut clip = scheduler();
+        // One app per scalability class: linear, logarithmic, parabolic.
+        let apps = [suite::comd(), suite::lu_mz(), suite::tea_leaf()];
+        let full: Vec<usize> = (0..8).collect();
+        let shrunk: Vec<usize> = (0..6).collect();
+        for phase in 0..5 {
+            let pool = match phase {
+                0 => full.clone(),
+                1 => shrunk.clone(),
+                2 => {
+                    cluster.set_node_efficiency(2, 1.15);
+                    cluster.scale_node_efficiency(4, 1.25);
+                    shrunk.clone()
+                }
+                3 => {
+                    cluster.set_cap_jitter(3, 0.05);
+                    shrunk.clone()
+                }
+                _ => {
+                    cluster.fail_node(1);
+                    cluster.alive_nodes().into_iter().take(5).collect()
+                }
+            };
+            for app in &apps {
+                // Each phase opens at the budget the last one closed at,
+                // so a change of pool alone must re-run the search.
+                for watts in [1800.0, 700.0, 1200.0, 1800.0] {
+                    let budget = Power::watts(watts);
+                    let got = clip.plan_subset(&mut cluster, app, budget, &pool);
+                    let want = uncached_plan(&clip, &cluster, app, budget, &pool);
+                    let what = format!("phase {phase}, {} at {watts} W", app.name());
+                    assert_same_plan(&got, &want, &what);
+                }
+            }
+        }
+        assert_eq!(clip.profiles_performed(), apps.len());
+    }
+
+    #[test]
+    fn warm_plans_probe_only_nodes_whose_power_state_changed() {
+        let mut cluster = Cluster::paper_testbed(3);
+        let mut clip = scheduler();
+        let app = suite::comd();
+        let _ = clip.plan(&mut cluster, &app, Power::watts(1400.0));
+        let elapsed = |c: &Cluster| -> Vec<f64> {
+            (0..c.len())
+                .map(|i| c.node(i).rapl_elapsed().as_secs())
+                .collect()
+        };
+        let before = elapsed(&cluster);
+        let _ = clip.plan(&mut cluster, &app, Power::watts(900.0));
+        assert_eq!(elapsed(&cluster), before, "an unchanged pool is re-probed");
+
+        cluster.set_node_efficiency(5, 1.2);
+        let _ = clip.plan(&mut cluster, &app, Power::watts(900.0));
+        let after = elapsed(&cluster);
+        for (i, (a, b)) in after.iter().zip(&before).enumerate() {
+            assert_eq!(a != b, i == 5, "node {i}: only the changed node is probed");
+        }
+    }
+
+    #[test]
+    fn replacing_the_knowledge_db_drops_what_was_fitted_to_the_old_one() {
+        let testbed = Cluster::paper_testbed(9);
+        let app = suite::tea_leaf();
+        let budget = Power::watts(1200.0);
+        let mut warm = scheduler();
+        let old = warm.plan(&mut testbed.clone(), &app, budget);
+        let mut record = warm.knowledge().get(app.name()).expect("profiled").clone();
+        record.np = if record.np > 8 { 6 } else { 16 };
+        let mut db = KnowledgeDb::new();
+        db.insert(record);
+
+        let mut warm = warm.with_knowledge_db(db.clone());
+        let got = warm.plan(&mut testbed.clone(), &app, budget);
+        let want = scheduler()
+            .with_knowledge_db(db)
+            .plan(&mut testbed.clone(), &app, budget);
+        assert_ne!(got.threads_per_node, old.threads_per_node);
+        assert_same_plan(&got, &want, "after with_knowledge_db");
     }
 
     #[test]

@@ -120,6 +120,52 @@ for workload in bench["workloads"]:
     print(f"    {name} ok: {result['attempted']} rounds, 0 failed")
 PY
 
+# clip-lint's hot set stops at the planning boundary, so no static rule
+# sees allocations creep back into plan calls. A span run counts every
+# allocation, and the counts repeat exactly for a seed, so each
+# workload's `plan.allocs_per_call` and `alloc.per_epoch` are ceilings
+# here, pinned at their values when CLIP's planning inputs were cached.
+# A change that removes allocations lowers its workload's ceilings.
+echo "==> allocation ceilings (every workload, 1 s span run at seed 2017)"
+python3 - <<'PY'
+import json, subprocess, sys
+
+# workload: (plan.allocs_per_call, alloc.per_epoch)
+CEILINGS = {
+    "fleet": (75.99, 1227.57),
+    "service": (6.13, 25.24),
+    "service_traced": (6.52, 31.85),
+    "paper_grid": (1266.70, 1298.39),
+}
+bench = json.load(open("BENCHMARK.json"))
+for workload in bench["workloads"]:
+    name = workload["name"]
+    if name not in CEILINGS:
+        sys.exit(f"benchmark {name}: no allocation ceilings pinned")
+    cmd = bench["command"] + [
+        "--workload", name, "--seed", "2017", "--seconds", "1", "--trace", "1",
+    ]
+    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    metrics = result.get("metrics", {})
+    value = lambda metric: metrics.get(metric, {}).get("value")
+    if result.get("failed") != 0 or not result.get("attempted"):
+        sys.exit(
+            f"benchmark {name} span run: {result.get('failed')} of "
+            f"{result.get('attempted')} rounds failed their checks"
+        )
+    if value("audit.violations") != 0:
+        sys.exit(f"benchmark {name}: audit.violations {value('audit.violations')}")
+    counts = []
+    for metric, ceiling in zip(("plan.allocs_per_call", "alloc.per_epoch"), CEILINGS[name]):
+        got = value(metric)
+        if got is None or got > ceiling:
+            sys.exit(f"benchmark {name}: {metric} {got} exceeds its ceiling {ceiling}")
+        counts.append(f"{metric} {got:.2f} <= {ceiling}")
+    print(f"    {name} ok: " + ", ".join(counts))
+PY
+
 # Gate the full fault-injection path end to end: scheduler -> fault plan ->
 # degraded epoch -> re-coordination -> ledger classification. The smoke
 # plan (4 nodes, one crash, 3 epochs) keeps this well under five seconds.
