@@ -24,8 +24,8 @@ impl PowerScheduler for AllIn {
     }
 
     fn plan(&mut self, cluster: &mut Cluster, app: &AppModel, budget: Power) -> SchedulePlan {
-        let all: Vec<usize> = (0..cluster.len()).collect();
-        self.plan_subset(cluster, app, budget, &all)
+        let alive = cluster.alive_nodes();
+        self.plan_subset(cluster, app, budget, &alive)
     }
 
     fn plan_subset(

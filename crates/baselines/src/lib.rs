@@ -15,7 +15,8 @@
 //!   at the highest concurrency (no thread throttling, no inflection
 //!   points).
 //! - [`Oracle`]: exhaustive search over node count × concurrency ×
-//!   affinity × power split, evaluating *real* (simulated) executions.
+//!   affinity × power split, timing every candidate on the simulated
+//!   cluster.
 //!   Not a paper method — it is the "optimal solution" CLIP is said to
 //!   perform close to, and the reference for the EXPERIMENTS.md gap table.
 

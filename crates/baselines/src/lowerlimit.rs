@@ -35,8 +35,8 @@ impl PowerScheduler for LowerLimit {
     }
 
     fn plan(&mut self, cluster: &mut Cluster, app: &AppModel, budget: Power) -> SchedulePlan {
-        let all: Vec<usize> = (0..cluster.len()).collect();
-        self.plan_subset(cluster, app, budget, &all)
+        let alive = cluster.alive_nodes();
+        self.plan_subset(cluster, app, budget, &alive)
     }
 
     fn plan_subset(

@@ -2,29 +2,32 @@
 //!
 //! Not one of the paper's methods: this is the "optimal solution" the paper
 //! claims CLIP performs close to (§I, §V-C observation 2). It enumerates
-//! node count × even concurrency × affinity × DRAM share, *executes* each
-//! candidate whose caps fit the budget through [`execute_plan`], and keeps
-//! the fastest.
+//! node count × even concurrency × affinity × DRAM share, programs each
+//! candidate whose caps fit the budget, times it on every participant
+//! through [`job_time`], and keeps the fastest. The search reads run time
+//! only, so it skips the power, energy and counter accounting of a full
+//! [`clip_core::execute_plan`]; the score, `EVAL_ITERATIONS / job_time`,
+//! equals that run's `performance()` bit for bit.
 //!
 //! The search runs in place: the grid is dealt out in strided lanes, one
 //! per worker ([`cluster_sim::sweep::worker_count`]), so every lane sees
 //! every node count. A lane clones the cluster once and refills one
-//! scratch plan per candidate. Reusing the trial cluster is exact:
-//! `execute_plan` re-programs every participant's caps before the job
-//! runs, and the only other state a job leaves behind is the RAPL energy
-//! bookkeeping, which run time never reads. The winning plan is built
-//! once, at the end.
+//! scratch plan per candidate. Reusing the trial cluster is exact: every
+//! participant's caps are re-programmed before the candidate is timed,
+//! and timing writes nothing else. The winning plan is built once, at the
+//! end.
 //!
-//! The Oracle is expensive by construction (hundreds of real runs versus
+//! The Oracle is expensive by construction (hundreds of timed runs versus
 //! CLIP's three profile samples); the EXPERIMENTS.md gap table and the
 //! `summary_claims` harness report CLIP's distance from it.
 
 use clip_core::audit::BudgetLedger;
-use clip_core::{execute_plan, PowerScheduler, SchedulePlan};
+use clip_core::{PowerScheduler, SchedulePlan};
 use cluster_sim::sweep::{parallel_map_with, worker_count};
-use cluster_sim::Cluster;
+use cluster_sim::{job_time, Cluster, JobSpec};
 use simkit::Power;
 use simnode::{AffinityPolicy, PowerCaps};
+use std::borrow::Cow;
 use workload::AppModel;
 
 /// DRAM shares of the per-node budget the Oracle sweeps.
@@ -121,6 +124,23 @@ impl Oracle {
         plan
     }
 
+    /// Program `plan`'s caps on `trial` and score it in iterations per
+    /// second from the job's wall time alone: bit for bit the
+    /// `performance()` of an `EVAL_ITERATIONS` run of `execute_plan`.
+    fn score(trial: &mut Cluster, app: &AppModel, plan: &SchedulePlan) -> f64 {
+        for (&id, &caps) in plan.node_ids.iter().zip(&plan.caps) {
+            trial.node_mut(id).set_caps(caps);
+        }
+        let spec = JobSpec {
+            app,
+            node_ids: Cow::Borrowed(&plan.node_ids),
+            threads_per_node: plan.threads_per_node,
+            policy: plan.policy,
+            iterations: EVAL_ITERATIONS,
+        };
+        EVAL_ITERATIONS as f64 / job_time(trial, &spec).as_secs()
+    }
+
     /// Index of the fastest candidate whose caps fit `budget`, searched
     /// over `lanes` strided lanes; `None` when no candidate fits. Each lane
     /// keeps the largest performance under `total_cmp` with ties to the
@@ -146,15 +166,7 @@ impl Oracle {
                 if !plan.within_budget(budget) {
                     continue;
                 }
-                let perf = execute_plan(
-                    &mut trial,
-                    app,
-                    &plan,
-                    EVAL_ITERATIONS,
-                    0,
-                    &mut clip_obs::NoopRecorder,
-                )
-                .performance();
+                let perf = Self::score(&mut trial, app, &plan);
                 if best.is_none_or(|(b, _)| perf.total_cmp(&b).is_gt()) {
                     best = Some((perf, idx));
                 }
@@ -175,8 +187,8 @@ impl PowerScheduler for Oracle {
     }
 
     fn plan(&mut self, cluster: &mut Cluster, app: &AppModel, budget: Power) -> SchedulePlan {
-        let all: Vec<usize> = (0..cluster.len()).collect();
-        self.plan_subset(cluster, app, budget, &all)
+        let alive = cluster.alive_nodes();
+        self.plan_subset(cluster, app, budget, &alive)
     }
 
     fn plan_subset(
@@ -212,6 +224,7 @@ impl PowerScheduler for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clip_core::execute_plan;
     use workload::suite;
 
     fn oracle_plan(app: &AppModel, budget_w: f64) -> SchedulePlan {
@@ -328,8 +341,11 @@ mod tests {
         }
     }
 
-    /// The search the in-place lanes replace: a fresh cluster clone and a
-    /// fresh plan for every candidate that fits, folded in grid order.
+    /// The search the in-place lanes replace: a fresh cluster clone, a
+    /// fresh plan and a full `execute_plan` run for every candidate that
+    /// fits, folded in grid order. It scores by the executed report's
+    /// `performance()`, and checks that [`Oracle::score`]'s timing path
+    /// gives the same bits for every candidate.
     fn clone_per_candidate(
         cluster: &Cluster,
         app: &AppModel,
@@ -347,11 +363,17 @@ mod tests {
                 &mut cluster.clone(),
                 app,
                 &plan,
-                1,
+                EVAL_ITERATIONS,
                 0,
                 &mut clip_obs::NoopRecorder,
             )
             .performance();
+            assert_eq!(
+                Oracle::score(&mut cluster.clone(), app, &plan).to_bits(),
+                perf.to_bits(),
+                "{:?}",
+                cand
+            );
             if best.as_ref().is_none_or(|(b, _)| perf.total_cmp(b).is_gt()) {
                 best = Some((perf, plan));
             }

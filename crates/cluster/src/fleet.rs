@@ -120,9 +120,13 @@ impl Cluster {
         self.alive[i] = false;
     }
 
-    /// Indices of the nodes still alive, in fleet order.
+    /// Indices of the nodes still alive, in fleet order. Collecting the
+    /// whole index range sizes the buffer once; a filtered collect would
+    /// grow it from an unknown length, one reallocation per doubling.
     pub fn alive_nodes(&self) -> Vec<usize> {
-        (0..self.alive.len()).filter(|&i| self.alive[i]).collect()
+        let mut ids: Vec<usize> = (0..self.alive.len()).collect();
+        ids.retain(|&i| self.alive[i]);
+        ids
     }
 
     /// Count of alive nodes.

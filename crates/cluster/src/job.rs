@@ -140,8 +140,52 @@ impl JobReport {
     }
 }
 
-/// Execute a job on the cluster. Panics on an empty node set, a node index
-/// out of range, or zero iterations.
+/// Panic on an empty node set, zero iterations, or a node that is out of
+/// range or has crashed.
+fn check_spec(cluster: &Cluster, spec: &JobSpec<'_>) {
+    assert!(!spec.node_ids.is_empty(), "job needs at least one node");
+    assert!(spec.iterations > 0, "job needs at least one iteration");
+    for &id in spec.node_ids.iter() {
+        assert!(id < cluster.len(), "node {id} out of range");
+        assert!(cluster.is_alive(id), "node {id} has crashed");
+    }
+}
+
+/// Synchronize the ranks: the slowest one, busy for `busy_max`, sets the
+/// pace, and every iteration adds the communication term. Returns the
+/// communication time per iteration and the total wall time.
+fn synchronized_time(spec: &JobSpec<'_>, busy_max: TimeSpan) -> (TimeSpan, TimeSpan) {
+    let comm_per_iter = TimeSpan::secs(spec.app.comm().time_secs(spec.node_ids.len()));
+    (
+        comm_per_iter,
+        busy_max + comm_per_iter * spec.iterations as f64,
+    )
+}
+
+/// The wall time of a job, exactly [`run_job`]'s `total_time`, from the
+/// timing half of each rank's execution ([`simnode::Node::time_iteration`]):
+/// no power or energy accounting, no per-node report, and nothing written
+/// to the cluster. Panics where [`run_job`] does.
+pub fn job_time(cluster: &Cluster, spec: &JobSpec<'_>) -> TimeSpan {
+    check_spec(cluster, spec);
+    let rank = spec.app.per_rank(spec.node_ids.len());
+    let busy_max = spec
+        .node_ids
+        .iter()
+        .map(|&id| {
+            let (_, iter_time) =
+                cluster
+                    .node(id)
+                    .time_iteration(&rank, spec.threads_per_node, spec.policy);
+            iter_time * spec.iterations as f64
+        })
+        .fold(TimeSpan::ZERO, TimeSpan::max);
+    synchronized_time(spec, busy_max).1
+}
+
+/// Execute a job on the cluster: every rank's timing and its power and
+/// energy accounting. Panics on an empty node set, a node index out of
+/// range, a crashed node, or zero iterations.
 ///
 /// Generic over the telemetry recorder: every rank's resolved operating
 /// point is emitted as a [`clip_obs::TraceEvent::DvfsResolved`], and after
@@ -156,12 +200,7 @@ pub fn run_job<R: clip_obs::Recorder>(
     epoch: u64,
     rec: &mut R,
 ) -> JobReport {
-    assert!(!spec.node_ids.is_empty(), "job needs at least one node");
-    assert!(spec.iterations > 0, "job needs at least one iteration");
-    for &id in spec.node_ids.iter() {
-        assert!(id < cluster.len(), "node {id} out of range");
-        assert!(cluster.is_alive(id), "node {id} has crashed");
-    }
+    check_spec(cluster, spec);
     let n_nodes = spec.node_ids.len();
     let rank = spec.app.per_rank(n_nodes);
 
@@ -197,13 +236,11 @@ pub fn run_job<R: clip_obs::Recorder>(
         })
         .collect();
 
-    // Synchronize: the slowest rank sets the pace.
     let busy_max = per_node
         .iter()
         .map(|n| n.report.total_time)
         .fold(TimeSpan::ZERO, TimeSpan::max);
-    let comm_per_iter = TimeSpan::secs(spec.app.comm().time_secs(n_nodes));
-    let total_time = busy_max + comm_per_iter * spec.iterations as f64;
+    let (comm_per_iter, total_time) = synchronized_time(spec, busy_max);
     let iteration_time = total_time / spec.iterations as f64;
 
     // Blend busy and wait power per node.
@@ -423,6 +460,106 @@ mod tests {
             iterations: 1,
         };
         let _ = run_job(&mut cluster, &spec);
+    }
+
+    /// Every rank of `cluster` capped at `caps`, with the actuation error
+    /// `jitter` injected on even nodes and `-jitter` on odd ones.
+    fn capped(mut cluster: Cluster, caps: PowerCaps, jitter: f64) -> Cluster {
+        cluster.set_uniform_caps(caps);
+        for id in 0..cluster.len() {
+            let sign = if id % 2 == 0 { 1.0 } else { -1.0 };
+            cluster.node_mut(id).set_cap_jitter(sign * jitter);
+        }
+        cluster
+    }
+
+    #[test]
+    fn job_time_is_run_jobs_total_time_bit_for_bit() {
+        let testbed = Cluster::paper_testbed(2017);
+        let cap_cases = [
+            PowerCaps::unlimited(),
+            PowerCaps::new(Power::watts(110.0), Power::watts(20.0)),
+            PowerCaps::new(Power::watts(40.0), Power::watts(8.0)),
+        ];
+        let mut throttled = 0;
+        for (caps, jitter) in cap_cases.iter().flat_map(|&c| [(c, 0.0), (c, 0.08)]) {
+            let cluster = capped(testbed.clone(), caps, jitter);
+            for entry in suite::table2_suite() {
+                for nodes in [1, 3, 8] {
+                    for threads in [1, 2, 11, 24] {
+                        for policy in AffinityPolicy::ALL {
+                            let spec = JobSpec {
+                                app: &entry.app,
+                                // Skip node 0 where the set allows it, so
+                                // ids and positions differ.
+                                node_ids: (8 - nodes..8).collect::<Vec<_>>().into(),
+                                threads_per_node: threads,
+                                policy,
+                                iterations: 3,
+                            };
+                            let timed = job_time(&cluster, &spec);
+                            let report = run_job(&mut cluster.clone(), &spec);
+                            assert_eq!(
+                                timed.as_secs().to_bits(),
+                                report.total_time.as_secs().to_bits(),
+                                "{} on {nodes} x {threads} {policy}, {caps:?}, jitter {jitter}",
+                                entry.app.name()
+                            );
+                            throttled += report
+                                .per_node
+                                .iter()
+                                .filter(|n| n.report.op.speed.is_throttled())
+                                .count();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(throttled > 0, "the grid must reach duty-cycle throttling");
+    }
+
+    /// The message of a caught panic.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map(|msg| msg.to_string())
+                .unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn job_time_panics_where_run_job_does() {
+        let mut cluster = Cluster::homogeneous(3);
+        cluster.fail_node(1);
+        let app = suite::comd();
+        for (ids, expected) in [
+            (vec![], "at least one node"),
+            (vec![0, 5], "node 5 out of range"),
+            (vec![0, 1], "node 1 has crashed"),
+        ] {
+            let spec = JobSpec {
+                app: &app,
+                node_ids: ids.into(),
+                threads_per_node: 4,
+                policy: AffinityPolicy::Compact,
+                iterations: 1,
+            };
+            let timed = std::panic::catch_unwind(|| job_time(&cluster, &spec));
+            let run = std::panic::catch_unwind(|| run_job(&mut cluster.clone(), &spec));
+            for (what, outcome) in [
+                ("job_time", timed.map(|_| ())),
+                ("run_job", run.map(|_| ())),
+            ] {
+                let msg = outcome.err().map(panic_message);
+                assert!(
+                    msg.as_deref().is_some_and(|m| m.contains(expected)),
+                    "{what} on {:?}: expected a panic with {expected:?}, got {msg:?}",
+                    spec.node_ids
+                );
+            }
+        }
     }
 
     #[test]

@@ -106,10 +106,12 @@ impl std::error::Error for AuditViolation {}
 /// Construct with the cluster budget, optionally bound the per-node
 /// capacity, then hand the finished plan (and any variability shift) to
 /// the audit methods. The non-`try_` methods enforce: panic under
-/// `debug_assertions`, count globally otherwise.
+/// `debug_assertions`, count globally otherwise. The ledger borrows the
+/// scheduler's name and copies it only into a violation, so building one
+/// allocates nothing.
 #[derive(Debug, Clone)]
-pub struct BudgetLedger {
-    scheduler: String,
+pub struct BudgetLedger<'a> {
+    scheduler: &'a str,
     cluster_budget: Power,
     node_cap: Option<Power>,
     /// Declared RAPL actuation-error fraction the fault injector is
@@ -117,11 +119,11 @@ pub struct BudgetLedger {
     injected_jitter: f64,
 }
 
-impl BudgetLedger {
+impl<'a> BudgetLedger<'a> {
     /// A ledger for one allocation by `scheduler` under `cluster_budget`.
-    pub fn new(scheduler: &str, cluster_budget: Power) -> Self {
+    pub fn new(scheduler: &'a str, cluster_budget: Power) -> Self {
         Self {
-            scheduler: scheduler.to_string(),
+            scheduler,
             cluster_budget,
             node_cap: None,
             injected_jitter: 0.0,
@@ -311,7 +313,7 @@ impl BudgetLedger {
 
     fn violation(&self, rule: AuditRule, detail: String) -> AuditViolation {
         AuditViolation {
-            scheduler: self.scheduler.clone(),
+            scheduler: self.scheduler.to_string(),
             rule,
             detail,
         }

@@ -415,7 +415,10 @@ impl RunState {
 pub struct EpochPrep {
     replanned: bool,
     boundary: Boundary,
-    ledger: BudgetLedger,
+    /// The budget and the injected-jitter allowance the plan was audited
+    /// under; the actuation audit rebuilds its ledger from them.
+    budget: Power,
+    jitter: f64,
 }
 
 /// The recorder-generic epoch engine.
@@ -710,13 +713,15 @@ impl<R: Recorder> EpochEngine<R> {
             .iter()
             .map(|&id| cluster.node(id).cap_jitter().abs())
             .fold(0.0, f64::max);
-        let ledger = BudgetLedger::new(&state.name, self.budget).with_injected_jitter(jitter);
-        ledger.audit_plan(&state.plan);
+        BudgetLedger::new(&state.name, self.budget)
+            .with_injected_jitter(jitter)
+            .audit_plan(&state.plan);
 
         EpochPrep {
             replanned,
             boundary,
-            ledger,
+            budget: self.budget,
+            jitter,
         }
     }
 
@@ -739,17 +744,16 @@ impl<R: Recorder> EpochEngine<R> {
         let ep = epoch as u64;
         state.degraded_time = report.total_time;
 
-        let injected_overshoot =
-            match prep
-                .ledger
-                .audit_actuation(&state.plan, report.cluster_power, ep, &mut self.rec)
-            {
-                ActuationCheck::Nominal => false,
-                ActuationCheck::InjectedJitter => {
-                    state.injected_overshoots += 1;
-                    true
-                }
-            };
+        let injected_overshoot = match BudgetLedger::new(&state.name, prep.budget)
+            .with_injected_jitter(prep.jitter)
+            .audit_actuation(&state.plan, report.cluster_power, ep, &mut self.rec)
+        {
+            ActuationCheck::Nominal => false,
+            ActuationCheck::InjectedJitter => {
+                state.injected_overshoots += 1;
+                true
+            }
+        };
 
         if self.rec.enabled() {
             self.rec.counter_add("epochs_total", 1);

@@ -80,11 +80,13 @@ impl RuntimeCoordinator {
         budget: Power,
         launch: FixedLaunch,
     ) -> SchedulePlan {
+        let alive = cluster.alive_nodes();
         assert!(
-            launch.nodes >= 1 && launch.nodes <= cluster.len(),
+            launch.nodes >= 1 && launch.nodes <= alive.len(),
             "invalid node count"
         );
-        let total_cores = cluster.node(0).topology().total_cores();
+        let probe = alive.first().copied().unwrap_or(0);
+        let total_cores = cluster.node(probe).topology().total_cores();
         assert!(
             launch.threads_per_node >= 1 && launch.threads_per_node <= total_cores,
             "invalid thread count"
@@ -93,7 +95,7 @@ impl RuntimeCoordinator {
         let record = match self.db.get(app.name()) {
             Some(r) => Cow::Borrowed(r),
             None => {
-                let profile = self.profiler.profile(cluster.node_mut(0), app);
+                let profile = self.profiler.profile(cluster.node_mut(probe), app);
                 let r = KnowledgeRecord {
                     profile,
                     np: launch.threads_per_node,
@@ -121,10 +123,9 @@ impl RuntimeCoordinator {
         // scheduler.
         let ledger = BudgetLedger::new("CLIP-runtime", budget);
         let (node_ids, caps) = if self.coordinate_variability {
-            let all_ids: Vec<usize> = (0..cluster.len()).collect();
             let (node_ids, caps, _) = self.calibration.select_and_shift(
                 cluster,
-                &all_ids,
+                &alive,
                 launch.nodes,
                 split.caps,
                 self.variability_threshold,
@@ -132,7 +133,9 @@ impl RuntimeCoordinator {
             );
             (node_ids, caps)
         } else {
-            ((0..launch.nodes).collect(), vec![split.caps; launch.nodes])
+            let mut node_ids = alive;
+            node_ids.truncate(launch.nodes);
+            (node_ids, vec![split.caps; launch.nodes])
         };
 
         let plan = SchedulePlan {
@@ -270,6 +273,81 @@ mod tests {
         assert_eq!(rt.knowledge().len(), 1);
         let _ = rt.plan_fixed(&mut cluster, &app, Power::watts(1400.0), l2);
         assert_eq!(rt.knowledge().len(), 1, "second launch reuses the profile");
+    }
+
+    #[test]
+    fn fixed_launch_plans_around_a_crashed_node() {
+        let mut cluster =
+            Cluster::with_variability(8, &cluster_sim::VariabilityModel::with_sigma(0.08), 21);
+        cluster.fail_node(4);
+        let app = suite::comd();
+        let launch = FixedLaunch {
+            nodes: 4,
+            threads_per_node: 24,
+            policy: None,
+        };
+        for coordinate in [true, false] {
+            let mut rt = RuntimeCoordinator::new();
+            rt.coordinate_variability = coordinate;
+            let plan = rt.plan_fixed(&mut cluster.clone(), &app, Power::watts(1200.0), launch);
+            assert_eq!(plan.nodes(), 4);
+            assert!(
+                !plan.node_ids.contains(&4),
+                "planned on {:?}",
+                plan.node_ids
+            );
+            let report = execute_plan(
+                &mut cluster.clone(),
+                &app,
+                &plan,
+                1,
+                0,
+                &mut clip_obs::NoopRecorder,
+            );
+            assert!(report.performance() > 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid node count")]
+    fn launch_wider_than_the_live_nodes_rejected() {
+        let mut cluster = Cluster::homogeneous(8);
+        cluster.fail_node(4);
+        let launch = FixedLaunch {
+            nodes: 8,
+            threads_per_node: 24,
+            policy: None,
+        };
+        let _ = RuntimeCoordinator::new().plan_fixed(
+            &mut cluster,
+            &suite::comd(),
+            Power::watts(1200.0),
+            launch,
+        );
+    }
+
+    #[test]
+    fn profiling_skips_a_crashed_node_zero() {
+        let mut cluster = Cluster::homogeneous(4);
+        cluster.fail_node(0);
+        let before = cluster.node(0).rapl_elapsed();
+        let launch = FixedLaunch {
+            nodes: 2,
+            threads_per_node: 12,
+            policy: None,
+        };
+        let plan = RuntimeCoordinator::new().plan_fixed(
+            &mut cluster,
+            &suite::amg(),
+            Power::watts(600.0),
+            launch,
+        );
+        assert!(
+            !plan.node_ids.contains(&0),
+            "planned on {:?}",
+            plan.node_ids
+        );
+        assert_eq!(cluster.node(0).rapl_elapsed(), before, "node 0 was probed");
     }
 
     #[test]

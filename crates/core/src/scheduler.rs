@@ -221,6 +221,9 @@ pub struct ClipScheduler {
 }
 
 impl ClipScheduler {
+    /// The scheduler's name, as [`PowerScheduler::name`] returns it.
+    const NAME: &'static str = "CLIP";
+
     /// Build with a trained inflection predictor.
     pub fn new(predictor: InflectionPredictor) -> Self {
         Self {
@@ -388,7 +391,7 @@ impl ClipScheduler {
         let allocation = self.allocation(cluster, app, budget, allowed_nodes.len(), probe);
         let n = allocation.nodes;
         let uniform = allocation.node_config.caps;
-        let ledger = BudgetLedger::new(self.name(), budget);
+        let ledger = BudgetLedger::new(Self::NAME, budget);
         if self.trace_decisions {
             self.decisions.push(clip_obs::TraceEvent::AllocateChosen {
                 nodes: n,
@@ -436,15 +439,15 @@ impl ClipScheduler {
 
 impl PowerScheduler for ClipScheduler {
     fn name(&self) -> &str {
-        "CLIP"
+        Self::NAME
     }
 
     fn plan(&mut self, cluster: &mut Cluster, app: &AppModel, budget: Power) -> SchedulePlan {
-        // The unrestricted plan is the constrained plan over the full pool:
-        // measure the whole fleet, activate the thriftiest nodes, and shift
+        // The unrestricted plan is the constrained plan over every live
+        // node: measure the fleet, activate the thriftiest nodes, and shift
         // CPU budget onto leaky ones if the spread warrants it.
-        let all_ids: Vec<usize> = (0..cluster.len()).collect();
-        self.plan_constrained(cluster, app, budget, &all_ids)
+        let alive = cluster.alive_nodes();
+        self.plan_constrained(cluster, app, budget, &alive)
     }
 
     fn plan_subset(

@@ -84,7 +84,7 @@ pub struct ServiceTimeline {
     /// [`Self::set_cluster_budget`]; the reserve is signed headroom, so
     /// the shift audit stays zero-sum across envelope moves.
     cluster_budget: Power,
-    ledger: BudgetLedger,
+    ledger: BudgetLedger<'static>,
     cursor: usize,
     next_job: u64,
     jobs: Vec<JobRecord>,

@@ -15,8 +15,8 @@
 //! and exposes the two quantities the performance model needs: how many
 //! memory controllers feed the app, and what fraction of misses go remote.
 
-use crate::topology::NodeTopology;
-use serde::{Deserialize, Serialize};
+use crate::topology::{NodeTopology, MAX_SOCKETS};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Thread-to-core mapping policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,7 +46,54 @@ impl std::fmt::Display for AffinityPolicy {
 pub struct Placement {
     policy: AffinityPolicy,
     /// Busy cores on each socket; sums to the thread count.
-    active_per_socket: Vec<usize>,
+    active_per_socket: SocketCounts,
+}
+
+/// Per-socket counts held inline for up to [`MAX_SOCKETS`] sockets, so a
+/// placement never allocates. Entries past `sockets` stay zero. Prints and
+/// serializes as the list of the first `sockets` entries, as a `Vec` did.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SocketCounts {
+    sockets: usize,
+    counts: [usize; MAX_SOCKETS],
+}
+
+impl SocketCounts {
+    fn as_slice(&self) -> &[usize] {
+        self.counts.get(..self.sockets).unwrap_or_default()
+    }
+}
+
+impl std::fmt::Debug for SocketCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl Serialize for SocketCounts {
+    fn serialize_value(&self) -> Value {
+        self.as_slice().serialize_value()
+    }
+}
+
+impl Deserialize for SocketCounts {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let items = Vec::<usize>::deserialize_value(v)?;
+        let mut counts = [0; MAX_SOCKETS];
+        counts
+            .get_mut(..items.len())
+            .ok_or_else(|| {
+                Error::custom(format!(
+                    "{} sockets exceed the supported {MAX_SOCKETS}",
+                    items.len()
+                ))
+            })?
+            .copy_from_slice(&items);
+        Ok(Self {
+            sockets: items.len(),
+            counts,
+        })
+    }
 }
 
 impl Placement {
@@ -61,12 +108,17 @@ impl Placement {
             topo.total_cores()
         );
         let ns = topo.sockets();
+        assert!(
+            ns <= MAX_SOCKETS,
+            "{ns} sockets exceed the supported {MAX_SOCKETS}"
+        );
         let cps = topo.cores_per_socket();
-        let mut active = vec![0usize; ns];
+        let mut counts = [0usize; MAX_SOCKETS];
+        let used = counts.iter_mut().take(ns);
         match policy {
             AffinityPolicy::Compact => {
                 let mut left = threads;
-                for slot in active.iter_mut() {
+                for slot in used {
                     let take = left.min(cps);
                     *slot = take;
                     left -= take;
@@ -76,14 +128,19 @@ impl Placement {
                 }
             }
             AffinityPolicy::Scatter => {
-                for t in 0..threads {
-                    active[t % ns] += 1;
+                // Dealing thread t to socket t % ns gives every socket the
+                // even share, and the first threads % ns sockets one more.
+                for (s, slot) in used.enumerate() {
+                    *slot = threads / ns + usize::from(s < threads % ns);
                 }
             }
         }
         Self {
             policy,
-            active_per_socket: active,
+            active_per_socket: SocketCounts {
+                sockets: ns,
+                counts,
+            },
         }
     }
 
@@ -94,18 +151,18 @@ impl Placement {
 
     /// Busy-core count per socket.
     pub fn active_per_socket(&self) -> &[usize] {
-        &self.active_per_socket
+        self.active_per_socket.as_slice()
     }
 
     /// Total threads placed.
     pub fn threads(&self) -> usize {
-        self.active_per_socket.iter().sum()
+        self.active_per_socket().iter().sum()
     }
 
     /// Number of sockets with at least one busy core — these are the memory
     /// controllers that serve the application's local allocations.
     pub fn sockets_used(&self) -> usize {
-        self.active_per_socket.iter().filter(|&&n| n > 0).count()
+        self.active_per_socket().iter().filter(|&&n| n > 0).count()
     }
 
     /// Fraction of last-level-cache misses served by a *remote* NUMA domain.
@@ -157,10 +214,38 @@ mod tests {
     }
 
     #[test]
+    fn scatter_deals_threads_round_robin() {
+        for (sockets, cores) in [(1, 4), (2, 12), (3, 5), (MAX_SOCKETS, 2)] {
+            let topo = NodeTopology::new(sockets, cores);
+            for threads in 1..=topo.total_cores() {
+                let mut dealt = vec![0; sockets];
+                for t in 0..threads {
+                    dealt[t % sockets] += 1;
+                }
+                let p = Placement::resolve(&topo, threads, AffinityPolicy::Scatter);
+                assert_eq!(
+                    p.active_per_socket(),
+                    &dealt[..],
+                    "{sockets}x{cores}, {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn all_cores_identical_under_both_policies() {
         let c = Placement::resolve(&topo(), 24, AffinityPolicy::Compact);
         let s = Placement::resolve(&topo(), 24, AffinityPolicy::Scatter);
         assert_eq!(c.active_per_socket(), s.active_per_socket());
+    }
+
+    #[test]
+    fn debug_prints_the_used_sockets() {
+        let p = Placement::resolve(&topo(), 16, AffinityPolicy::Compact);
+        assert_eq!(
+            format!("{p:?}"),
+            "Placement { policy: Compact, active_per_socket: [12, 4] }"
+        );
     }
 
     #[test]

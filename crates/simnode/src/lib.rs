@@ -42,4 +42,4 @@ pub use events::{EventCounters, HwEvent};
 pub use node::{ExecutionReport, Node, NodeWorkload, OperatingPoint};
 pub use power::PowerModel;
 pub use rapl::{PowerCaps, RaplController};
-pub use topology::NodeTopology;
+pub use topology::{NodeTopology, MAX_SOCKETS};

@@ -299,8 +299,27 @@ impl Node {
         }
     }
 
+    /// The timing half of [`Node::execute`]: the operating point under the
+    /// programmed caps and the workload's wall time per iteration there.
+    /// Reads no power and leaves the RAPL counters untouched.
+    pub fn time_iteration<W: NodeWorkload + ?Sized>(
+        &self,
+        workload: &W,
+        threads: usize,
+        policy: AffinityPolicy,
+    ) -> (OperatingPoint, TimeSpan) {
+        let op = self.resolve(workload, threads, policy);
+        let iter_time = workload.iteration_time(&op);
+        assert!(
+            iter_time.as_secs() > 0.0 && iter_time.is_finite(),
+            "workload produced a non-positive iteration time"
+        );
+        (op, iter_time)
+    }
+
     /// Execute `iterations` iterations of a workload and report measured
-    /// time, power, energy and PMU counters.
+    /// time, power, energy and PMU counters: [`Node::time_iteration`]
+    /// plus the power and energy accounting.
     pub fn execute<W: NodeWorkload + ?Sized>(
         &mut self,
         workload: &W,
@@ -309,12 +328,7 @@ impl Node {
         iterations: usize,
     ) -> ExecutionReport {
         assert!(iterations > 0, "execute needs at least one iteration");
-        let op = self.resolve(workload, threads, policy);
-        let iter_time = workload.iteration_time(&op);
-        assert!(
-            iter_time.as_secs() > 0.0 && iter_time.is_finite(),
-            "workload produced a non-positive iteration time"
-        );
+        let (op, iter_time) = self.time_iteration(workload, threads, policy);
         let total_time = iter_time * iterations as f64;
 
         // DRAM power follows from the achieved (iteration-average)

@@ -6,6 +6,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Most sockets a node may have (the paper's testbed node has 2). A thread
+/// placement keeps its per-socket counts in a fixed array of this length,
+/// so resolving one allocates nothing; [`NodeTopology::new`] rejects wider
+/// machines.
+pub const MAX_SOCKETS: usize = 4;
+
 /// Identifier of a physical core, globally numbered `0..total_cores()`.
 /// Cores `[s·cps, (s+1)·cps)` belong to socket `s` (cps = cores per socket).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -23,9 +29,14 @@ pub struct NodeTopology {
 }
 
 impl NodeTopology {
-    /// Build a topology; both dimensions must be non-zero.
+    /// Build a topology; both dimensions must be non-zero, and there may
+    /// be at most [`MAX_SOCKETS`] sockets.
     pub fn new(sockets: usize, cores_per_socket: usize) -> Self {
         assert!(sockets > 0, "topology needs at least one socket");
+        assert!(
+            sockets <= MAX_SOCKETS,
+            "{sockets} sockets exceed the supported {MAX_SOCKETS}"
+        );
         assert!(
             cores_per_socket > 0,
             "topology needs at least one core per socket"
@@ -125,6 +136,12 @@ mod tests {
     #[should_panic(expected = "at least one socket")]
     fn zero_sockets_rejected() {
         NodeTopology::new(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "sockets exceed the supported")]
+    fn too_many_sockets_rejected() {
+        NodeTopology::new(MAX_SOCKETS + 1, 4);
     }
 
     #[test]

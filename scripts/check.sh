@@ -124,7 +124,7 @@ PY
 # sees allocations creep back into plan calls. A span run counts every
 # allocation, and the counts repeat exactly for a seed, so each
 # workload's `plan.allocs_per_call` and `alloc.per_epoch` are ceilings
-# here, pinned at their values when CLIP's planning inputs were cached.
+# here, pinned at their exact counts rounded up at two decimals.
 # A change that removes allocations lowers its workload's ceilings.
 echo "==> allocation ceilings (every workload, 1 s span run at seed 2017)"
 python3 - <<'PY'
@@ -132,10 +132,10 @@ import json, subprocess, sys
 
 # workload: (plan.allocs_per_call, alloc.per_epoch)
 CEILINGS = {
-    "fleet": (75.99, 1227.57),
-    "service": (6.13, 25.24),
-    "service_traced": (6.52, 31.85),
-    "paper_grid": (1266.70, 1298.39),
+    "fleet": (14.29, 319.44),
+    "service": (5.07, 13.92),
+    "service_traced": (5.46, 20.52),
+    "paper_grid": (15.05, 39.05),
 }
 bench = json.load(open("BENCHMARK.json"))
 for workload in bench["workloads"]:

@@ -181,3 +181,39 @@ fn variability_coordination_helps_on_heterogeneous_fleets() {
         "coordination must not hurt: on {on:.4} off {off:.4}"
     );
 }
+
+#[test]
+fn every_scheduler_plans_around_a_crashed_node() {
+    let budget = Power::watts(1200.0);
+    let app = suite::comd();
+    for crashed in [0, 4] {
+        let mut cluster = Cluster::paper_testbed(2017);
+        cluster.fail_node(crashed);
+        let mut methods: Vec<Box<dyn PowerScheduler>> = vec![
+            Box::new(AllIn),
+            Box::new(LowerLimit::default()),
+            Box::new(Coordinated::new()),
+            Box::new(Oracle::default()),
+            Box::new(clip()),
+        ];
+        for m in methods.iter_mut() {
+            let plan = m.plan(&mut cluster.clone(), &app, budget);
+            assert!(
+                !plan.node_ids.contains(&crashed),
+                "{} planned on crashed node {crashed}: {:?}",
+                m.name(),
+                plan.node_ids
+            );
+            assert!(plan.within_budget(budget), "{} broke the budget", m.name());
+            let report = execute_plan(
+                &mut cluster.clone(),
+                &app,
+                &plan,
+                1,
+                0,
+                &mut clip_obs::NoopRecorder,
+            );
+            assert!(report.performance() > 0.0, "{}", m.name());
+        }
+    }
+}

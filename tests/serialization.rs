@@ -7,7 +7,7 @@ use clip_core::knowledge::{KnowledgeDb, KnowledgeRecord};
 use clip_core::{ClipScheduler, InflectionPredictor, PowerScheduler, SchedulePlan, SmartProfiler};
 use cluster_sim::{run_job, Cluster, JobSpec};
 use simkit::Power;
-use simnode::{AffinityPolicy, Node};
+use simnode::{AffinityPolicy, Node, NodeTopology, Placement, MAX_SOCKETS};
 use workload::suite;
 
 #[test]
@@ -113,4 +113,37 @@ fn knowledge_record_json_shape_is_stable() {
     ] {
         assert!(profile.get(field).is_some(), "missing field {field}");
     }
+}
+
+/// The JSON `Placement` gave when it owned a `Vec<usize>`, built from the
+/// parts' own JSON.
+fn vec_form_json(policy: AffinityPolicy, active_per_socket: Vec<usize>) -> String {
+    format!(
+        r#"{{"policy":{},"active_per_socket":{}}}"#,
+        serde_json::to_string(&policy).expect("serialize policy"),
+        serde_json::to_string(&active_per_socket).expect("serialize counts")
+    )
+}
+
+#[test]
+fn placement_json_matches_the_vec_form_and_roundtrips() {
+    let testbed = Placement::resolve(&NodeTopology::haswell_2x12(), 16, AffinityPolicy::Compact);
+    assert_eq!(
+        serde_json::to_string(&testbed).expect("serialize placement"),
+        r#"{"policy":"Compact","active_per_socket":[12,4]}"#
+    );
+    for sockets in 1..=MAX_SOCKETS {
+        let topo = NodeTopology::new(sockets, 3);
+        for threads in 1..=topo.total_cores() {
+            for policy in AffinityPolicy::ALL {
+                let p = Placement::resolve(&topo, threads, policy);
+                let json = serde_json::to_string(&p).expect("serialize placement");
+                assert_eq!(json, vec_form_json(policy, p.active_per_socket().to_vec()));
+                let back: Placement = serde_json::from_str(&json).expect("deserialize placement");
+                assert_eq!(back, p);
+            }
+        }
+    }
+    let too_wide = vec_form_json(AffinityPolicy::Scatter, vec![1; MAX_SOCKETS + 1]);
+    assert!(serde_json::from_str::<Placement>(&too_wide).is_err());
 }
