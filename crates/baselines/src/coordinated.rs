@@ -20,6 +20,7 @@ use clip_core::recommend::{bandwidth_estimate, is_bandwidth_saturated, split_nod
 use clip_core::{FittedPowerModel, KnowledgeDb, PowerScheduler, SchedulePlan};
 use cluster_sim::Cluster;
 use simkit::Power;
+use std::borrow::Cow;
 use workload::AppModel;
 
 /// The power-coordinating, concurrency-blind scheduler.
@@ -66,7 +67,7 @@ impl PowerScheduler for Coordinated {
         let probe = allowed.first().copied().unwrap_or(0);
         let total_cores = cluster.node(probe).topology().total_cores();
         let record = match self.db.get(app.name()) {
-            Some(r) => r.clone(),
+            Some(r) => Cow::Borrowed(r),
             None => {
                 let profile = self.profiler.profile(cluster.node_mut(probe), app);
                 let r = KnowledgeRecord {
@@ -74,7 +75,7 @@ impl PowerScheduler for Coordinated {
                     np: total_cores,
                 };
                 self.db.insert(r.clone());
-                r
+                Cow::Owned(r)
             }
         };
         let power_model = FittedPowerModel::fit(&record.profile);

@@ -15,8 +15,10 @@
 //!   at the highest concurrency (no thread throttling, no inflection
 //!   points).
 //! - [`Oracle`]: exhaustive search over node count × concurrency ×
-//!   affinity × power split, timing every candidate on the simulated
-//!   cluster.
+//!   affinity × power split on the simulated cluster, as branch and bound:
+//!   a candidate is timed only until one of its ranks proves it cannot
+//!   strictly beat the best so far, which is exact because a job's time is
+//!   its slowest rank plus communication.
 //!   Not a paper method — it is the "optimal solution" CLIP is said to
 //!   perform close to, and the reference for the EXPERIMENTS.md gap table.
 

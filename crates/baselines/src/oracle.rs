@@ -3,19 +3,28 @@
 //! Not one of the paper's methods: this is the "optimal solution" the paper
 //! claims CLIP performs close to (§I, §V-C observation 2). It enumerates
 //! node count × even concurrency × affinity × DRAM share, programs each
-//! candidate whose caps fit the budget, times it on every participant
-//! through [`job_time`], and keeps the fastest. The search reads run time
+//! candidate whose caps fit the budget, times it through
+//! [`job_time_below`], and keeps the fastest. The search reads run time
 //! only, so it skips the power, energy and counter accounting of a full
-//! [`clip_core::execute_plan`]; the score, `EVAL_ITERATIONS / job_time`,
+//! [`clip_core::execute_plan`]; the score, `EVAL_ITERATIONS / total`,
 //! equals that run's `performance()` bit for bit.
+//!
+//! The search is branch and bound. A job's time is its slowest rank plus
+//! communication, so one rank slower than the best candidate so far proves
+//! that a candidate loses. Each candidate is timed with the incumbent's own
+//! wall time as the bound and dropped at the first rank that reaches it.
+//! That is exact: a dropped candidate's time is at least the incumbent's,
+//! so its score is at most the incumbent's, and the search keeps a
+//! candidate only when its score is strictly higher. Exact ties are dropped
+//! too, so the first-fastest candidate still wins.
 //!
 //! The search runs in place: the grid is dealt out in strided lanes, one
 //! per worker ([`cluster_sim::sweep::worker_count`]), so every lane sees
-//! every node count. A lane clones the cluster once and refills one
-//! scratch plan per candidate. Reusing the trial cluster is exact: every
-//! participant's caps are re-programmed before the candidate is timed,
-//! and timing writes nothing else. The winning plan is built once, at the
-//! end.
+//! every node count. A lane clones the cluster once, refills one scratch
+//! plan per candidate, and bounds its candidates by its own incumbent.
+//! Reusing the trial cluster is exact: every participant's caps are
+//! re-programmed before the candidate is timed, and timing writes nothing
+//! else. The winning plan is built once, at the end.
 //!
 //! The Oracle is expensive by construction (hundreds of timed runs versus
 //! CLIP's three profile samples); the EXPERIMENTS.md gap table and the
@@ -24,8 +33,8 @@
 use clip_core::audit::BudgetLedger;
 use clip_core::{PowerScheduler, SchedulePlan};
 use cluster_sim::sweep::{parallel_map_with, worker_count};
-use cluster_sim::{job_time, Cluster, JobSpec};
-use simkit::Power;
+use cluster_sim::{job_time_below, Cluster, JobSpec};
+use simkit::{Power, TimeSpan};
 use simnode::{AffinityPolicy, PowerCaps};
 use std::borrow::Cow;
 use workload::AppModel;
@@ -124,10 +133,14 @@ impl Oracle {
         plan
     }
 
-    /// Program `plan`'s caps on `trial` and score it in iterations per
-    /// second from the job's wall time alone: bit for bit the
-    /// `performance()` of an `EVAL_ITERATIONS` run of `execute_plan`.
-    fn score(trial: &mut Cluster, app: &AppModel, plan: &SchedulePlan) -> f64 {
+    /// Program `plan`'s caps on `trial` and time an `EVAL_ITERATIONS` run
+    /// of it: its wall time if that is below `bound`, else `None`.
+    fn time_below(
+        trial: &mut Cluster,
+        app: &AppModel,
+        plan: &SchedulePlan,
+        bound: TimeSpan,
+    ) -> Option<TimeSpan> {
         for (&id, &caps) in plan.node_ids.iter().zip(&plan.caps) {
             trial.node_mut(id).set_caps(caps);
         }
@@ -138,14 +151,16 @@ impl Oracle {
             policy: plan.policy,
             iterations: EVAL_ITERATIONS,
         };
-        EVAL_ITERATIONS as f64 / job_time(trial, &spec).as_secs()
+        job_time_below(trial, &spec, bound)
     }
 
     /// Index of the fastest candidate whose caps fit `budget`, searched
     /// over `lanes` strided lanes; `None` when no candidate fits. Each lane
     /// keeps the largest performance under `total_cmp` with ties to the
     /// lower index, and so does the merge, so the choice is the sequential
-    /// first-fastest at any lane count.
+    /// first-fastest at any lane count. A lane times each candidate only
+    /// until it is proven no faster than the lane's incumbent, whose wall
+    /// time is the bound.
     fn search(
         cluster: &Cluster,
         app: &AppModel,
@@ -155,7 +170,8 @@ impl Oracle {
         lanes: usize,
     ) -> Option<usize> {
         let lane_best = parallel_map_with((0..lanes).collect(), Some(lanes), |lane| {
-            let mut best: Option<(f64, usize)> = None;
+            // The incumbent: its performance, grid index and wall time.
+            let mut best: Option<(f64, usize, TimeSpan)> = None;
             let Some(first) = candidates.get(lane) else {
                 return best;
             };
@@ -166,9 +182,15 @@ impl Oracle {
                 if !plan.within_budget(budget) {
                     continue;
                 }
-                let perf = Self::score(&mut trial, app, &plan);
-                if best.is_none_or(|(b, _)| perf.total_cmp(&b).is_gt()) {
-                    best = Some((perf, idx));
+                // The incumbent's own wall time: re-deriving it from the
+                // performance would not round-trip.
+                let bound = best.map_or(TimeSpan::secs(f64::INFINITY), |(_, _, total)| total);
+                let Some(total) = Self::time_below(&mut trial, app, &plan, bound) else {
+                    continue;
+                };
+                let perf = EVAL_ITERATIONS as f64 / total.as_secs();
+                if best.is_none_or(|(b, _, _)| perf.total_cmp(&b).is_gt()) {
+                    best = Some((perf, idx, total));
                 }
             }
             best
@@ -177,7 +199,7 @@ impl Oracle {
             .into_iter()
             .flatten()
             .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
-            .map(|(_, idx)| idx)
+            .map(|(_, idx, _)| idx)
     }
 }
 
@@ -226,6 +248,13 @@ mod tests {
     use super::*;
     use clip_core::execute_plan;
     use workload::suite;
+
+    /// The unbounded score: `EVAL_ITERATIONS` over the full wall time of
+    /// `plan` programmed on `trial`.
+    fn score(trial: &mut Cluster, app: &AppModel, plan: &SchedulePlan) -> f64 {
+        let total = Oracle::time_below(trial, app, plan, TimeSpan::secs(f64::INFINITY));
+        EVAL_ITERATIONS as f64 / total.map_or(f64::INFINITY, TimeSpan::as_secs)
+    }
 
     fn oracle_plan(app: &AppModel, budget_w: f64) -> SchedulePlan {
         let mut cluster = Cluster::homogeneous(8);
@@ -341,10 +370,10 @@ mod tests {
         }
     }
 
-    /// The search the in-place lanes replace: a fresh cluster clone, a
-    /// fresh plan and a full `execute_plan` run for every candidate that
-    /// fits, folded in grid order. It scores by the executed report's
-    /// `performance()`, and checks that [`Oracle::score`]'s timing path
+    /// The search the in-place, bounded lanes replace: a fresh cluster
+    /// clone, a fresh plan and a full `execute_plan` run for every
+    /// candidate that fits, folded in grid order. It scores by the executed
+    /// report's `performance()`, and checks that the unbounded [`score`]
     /// gives the same bits for every candidate.
     fn clone_per_candidate(
         cluster: &Cluster,
@@ -369,7 +398,7 @@ mod tests {
             )
             .performance();
             assert_eq!(
-                Oracle::score(&mut cluster.clone(), app, &plan).to_bits(),
+                score(&mut cluster.clone(), app, &plan).to_bits(),
                 perf.to_bits(),
                 "{:?}",
                 cand
@@ -440,5 +469,49 @@ mod tests {
         jittered.node_mut(5).set_cap_jitter(-0.05);
         let all: Vec<usize> = (0..jittered.len()).collect();
         assert_search_matches_reference(&jittered, &suite::lu_mz(), Power::watts(1100.0), &all);
+    }
+
+    /// On identical nodes under caps that never bind, every configuration's
+    /// six DRAM shares time exactly alike. A lane drops a later tie, whose
+    /// time reaches its incumbent's, and the merge breaks ties across lanes
+    /// toward the lower index, so every lane count returns the reference's
+    /// first winner.
+    #[test]
+    fn exact_ties_go_to_the_lowest_index_at_every_lane_count() {
+        let cluster = Cluster::homogeneous(8);
+        let all: Vec<usize> = (0..cluster.len()).collect();
+        let app = suite::comd();
+        let budget = Power::watts(100_000.0);
+        assert_search_matches_reference(&cluster, &app, budget, &all);
+
+        let candidates = Oracle::default().candidates(&cluster, &app, &all);
+        let reference = clone_per_candidate(&cluster, &app, budget, &all, &candidates);
+        let plan = |idx: usize| Oracle::plan_of(&candidates[idx], budget, &all);
+        let winner = (0..candidates.len())
+            .find(|&idx| Some(plan(idx)) == reference)
+            .expect("the reference picks a grid candidate");
+        assert_eq!(winner % DRAM_SHARES.len(), 0, "the first DRAM share wins");
+        let mut trial = cluster.clone();
+        let unbounded = TimeSpan::secs(f64::INFINITY);
+        let total = Oracle::time_below(&mut trial, &app, &plan(winner), unbounded)
+            .expect("an unbounded time is always below the bound");
+        for tie in winner + 1..winner + DRAM_SHARES.len() {
+            let timed = Oracle::time_below(&mut trial, &app, &plan(tie), unbounded);
+            assert_eq!(
+                timed.map(|t| t.as_secs().to_bits()),
+                Some(total.as_secs().to_bits())
+            );
+            assert_eq!(
+                Oracle::time_below(&mut trial, &app, &plan(tie), total),
+                None
+            );
+        }
+        for lanes in [1, 2, 3] {
+            assert_eq!(
+                Oracle::search(&cluster, &app, budget, &all, &candidates, lanes),
+                Some(winner),
+                "{lanes} lanes"
+            );
+        }
     }
 }

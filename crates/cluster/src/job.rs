@@ -151,36 +151,54 @@ fn check_spec(cluster: &Cluster, spec: &JobSpec<'_>) {
     }
 }
 
-/// Synchronize the ranks: the slowest one, busy for `busy_max`, sets the
-/// pace, and every iteration adds the communication term. Returns the
-/// communication time per iteration and the total wall time.
-fn synchronized_time(spec: &JobSpec<'_>, busy_max: TimeSpan) -> (TimeSpan, TimeSpan) {
+/// The communication term the ranks add on top of the slowest one's busy
+/// time: the time per iteration, and that time over every iteration.
+fn communication(spec: &JobSpec<'_>) -> (TimeSpan, TimeSpan) {
     let comm_per_iter = TimeSpan::secs(spec.app.comm().time_secs(spec.node_ids.len()));
-    (
-        comm_per_iter,
-        busy_max + comm_per_iter * spec.iterations as f64,
-    )
+    (comm_per_iter, comm_per_iter * spec.iterations as f64)
 }
 
 /// The wall time of a job, exactly [`run_job`]'s `total_time`, from the
 /// timing half of each rank's execution ([`simnode::Node::time_iteration`]):
 /// no power or energy accounting, no per-node report, and nothing written
-/// to the cluster. Panics where [`run_job`] does.
+/// to the cluster. Panics where [`run_job`] does. This is
+/// [`job_time_below`] with no bound (a job too long for an `f64` reads ∞).
 pub fn job_time(cluster: &Cluster, spec: &JobSpec<'_>) -> TimeSpan {
+    let unbounded = TimeSpan::secs(f64::INFINITY);
+    job_time_below(cluster, spec, unbounded).unwrap_or(unbounded)
+}
+
+/// The wall time of a job if it is below `bound`, exactly [`job_time`]'s;
+/// `None` as soon as a rank proves it is not. The ranks are timed in
+/// `spec.node_ids` order, and after each one the slowest busy time so far
+/// plus the communication term is checked against `bound`.
+///
+/// Stopping early is exact. A partial maximum is at most the full one, and
+/// floating-point addition is monotone, so once that sum reaches `bound`
+/// the job's time `T` does too. A search that keeps a candidate only when
+/// `iterations / T` strictly beats an incumbent timed at `bound` would
+/// reject it anyway: division is monotone as well, so `T ≥ bound` gives
+/// `iterations / T ≤ iterations / bound`.
+///
+/// Runs [`run_job`]'s spec checks first, so it panics where [`run_job`]
+/// does, whatever the bound; every rank it times is checked for a positive
+/// and finite iteration time.
+pub fn job_time_below(cluster: &Cluster, spec: &JobSpec<'_>, bound: TimeSpan) -> Option<TimeSpan> {
     check_spec(cluster, spec);
     let rank = spec.app.per_rank(spec.node_ids.len());
-    let busy_max = spec
-        .node_ids
-        .iter()
-        .map(|&id| {
-            let (_, iter_time) =
-                cluster
-                    .node(id)
-                    .time_iteration(&rank, spec.threads_per_node, spec.policy);
-            iter_time * spec.iterations as f64
-        })
-        .fold(TimeSpan::ZERO, TimeSpan::max);
-    synchronized_time(spec, busy_max).1
+    let (_, comm_total) = communication(spec);
+    let mut busy_max = TimeSpan::ZERO;
+    for &id in spec.node_ids.iter() {
+        let (_, iter_time) =
+            cluster
+                .node(id)
+                .time_iteration(&rank, spec.threads_per_node, spec.policy);
+        busy_max = busy_max.max(iter_time * spec.iterations as f64);
+        if busy_max + comm_total >= bound {
+            return None;
+        }
+    }
+    Some(busy_max + comm_total)
 }
 
 /// Execute a job on the cluster: every rank's timing and its power and
@@ -240,7 +258,8 @@ pub fn run_job<R: clip_obs::Recorder>(
         .iter()
         .map(|n| n.report.total_time)
         .fold(TimeSpan::ZERO, TimeSpan::max);
-    let (comm_per_iter, total_time) = synchronized_time(spec, busy_max);
+    let (comm_per_iter, comm_total) = communication(spec);
+    let total_time = busy_max + comm_total;
     let iteration_time = total_time / spec.iterations as f64;
 
     // Blend busy and wait power per node.
@@ -473,6 +492,33 @@ mod tests {
         cluster
     }
 
+    /// `job_time_below` at bounds around and far from the job's time `T`:
+    /// `Some` exactly when `T < bound`, with `job_time`'s bits.
+    fn assert_bounded_time_agrees(
+        cluster: &Cluster,
+        spec: &JobSpec<'_>,
+        report: &JobReport,
+        case: &str,
+    ) {
+        let total = report.total_time.as_secs();
+        let first_rank = report.per_node[0].report.total_time.as_secs();
+        for bound in [
+            f64::INFINITY,
+            total.next_up(),
+            total,
+            total.next_down(),
+            first_rank,
+            0.0,
+        ] {
+            let below = job_time_below(cluster, spec, TimeSpan::secs(bound));
+            assert_eq!(
+                below.map(|t| t.as_secs().to_bits()),
+                (total < bound).then_some(total.to_bits()),
+                "{case}, bound {bound:e}"
+            );
+        }
+    }
+
     #[test]
     fn job_time_is_run_jobs_total_time_bit_for_bit() {
         let testbed = Cluster::paper_testbed(2017);
@@ -499,12 +545,16 @@ mod tests {
                             };
                             let timed = job_time(&cluster, &spec);
                             let report = run_job(&mut cluster.clone(), &spec);
-                            assert_eq!(
-                                timed.as_secs().to_bits(),
-                                report.total_time.as_secs().to_bits(),
+                            let case = format!(
                                 "{} on {nodes} x {threads} {policy}, {caps:?}, jitter {jitter}",
                                 entry.app.name()
                             );
+                            assert_eq!(
+                                timed.as_secs().to_bits(),
+                                report.total_time.as_secs().to_bits(),
+                                "{case}"
+                            );
+                            assert_bounded_time_agrees(&cluster, &spec, &report, &case);
                             throttled += report
                                 .per_node
                                 .iter()
@@ -547,9 +597,12 @@ mod tests {
                 iterations: 1,
             };
             let timed = std::panic::catch_unwind(|| job_time(&cluster, &spec));
+            let bounded =
+                std::panic::catch_unwind(|| job_time_below(&cluster, &spec, TimeSpan::ZERO));
             let run = std::panic::catch_unwind(|| run_job(&mut cluster.clone(), &spec));
             for (what, outcome) in [
                 ("job_time", timed.map(|_| ())),
+                ("job_time_below", bounded.map(|_| ())),
                 ("run_job", run.map(|_| ())),
             ] {
                 let msg = outcome.err().map(panic_message);

@@ -12,7 +12,9 @@
 //! - [`job`]: bulk-synchronous MPI-style job execution — strong-scale the
 //!   application over the participating nodes, run every rank, synchronize
 //!   on the slowest, add the communication term, account power including
-//!   barrier-wait idling; [`job_time`] is the same job's wall time alone.
+//!   barrier-wait idling; [`job_time`] is the same job's wall time alone,
+//!   and [`job_time_below`] stops timing ranks once that time is proven
+//!   to reach a bound.
 //! - [`sweep`]: a small fork-join helper for parallel configuration sweeps
 //!   (used by the exhaustive Oracle baseline and the figure harnesses).
 //! - [`faults`]: deterministic, seeded fault injection — timelines of node
@@ -32,6 +34,6 @@ pub mod variability;
 
 pub use faults::{apply_event, FaultEvent, FaultImpact, FaultKind, FaultPlan};
 pub use fleet::Cluster;
-pub use job::{job_time, run_job, JobReport, JobSpec, NodeOutcome};
+pub use job::{job_time, job_time_below, run_job, JobReport, JobSpec, NodeOutcome};
 pub use shard::{split_faults, RackTopology, ShardedFleet};
 pub use variability::VariabilityModel;

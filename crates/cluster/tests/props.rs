@@ -2,9 +2,11 @@
 //! across random fleets, caps, and decompositions, plus the conservation
 //! and differential bounds of the fault-injection layer.
 
-use cluster_sim::{run_job, Cluster, FaultPlan, JobSpec, VariabilityModel};
+use cluster_sim::{
+    job_time, job_time_below, run_job, Cluster, FaultPlan, JobSpec, VariabilityModel,
+};
 use proptest::prelude::*;
-use simkit::{Power, SimRng};
+use simkit::{Power, SimRng, TimeSpan};
 use simnode::{AffinityPolicy, PowerCaps};
 use workload::corpus;
 
@@ -101,6 +103,57 @@ proptest! {
         prop_assert_eq!(a.efficiencies(), b.efficiencies());
         let mean: f64 = a.efficiencies().iter().sum::<f64>() / n as f64;
         prop_assert!((mean - 1.0).abs() < 1e-9);
+    }
+
+    /// The bounded job time is `Some` exactly when the job's time `T` is
+    /// below the bound, and then it is `job_time`'s and `run_job`'s, bit
+    /// for bit: on variable fleets, under caps with actuation jitter, over
+    /// any node set in any order, at bounds on, beside and away from `T`.
+    #[test]
+    fn bounded_job_time_is_exact(seed in any::<u64>(),
+                                 mask in 1u8..=255,
+                                 rotate in 0usize..8,
+                                 threads in 1usize..=24,
+                                 policy in policy_strategy(),
+                                 cap_cpu in 30.0f64..260.0,
+                                 cap_dram in 6.0f64..40.0,
+                                 jitter in -0.08f64..0.08,
+                                 bound_pick in 0u8..5,
+                                 scale in 0.0f64..2.0)
+    {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let app = corpus::gen_parabolic(&mut rng, 0);
+        let mut cluster =
+            Cluster::with_variability(8, &VariabilityModel::with_sigma(0.08), seed);
+        cluster.set_uniform_caps(PowerCaps::new(Power::watts(cap_cpu), Power::watts(cap_dram)));
+        for id in 0..cluster.len() {
+            cluster.node_mut(id).set_cap_jitter(if id % 2 == 0 { jitter } else { -jitter });
+        }
+        let mut ids: Vec<usize> = (0..8).filter(|id| mask & (1 << id) != 0).collect();
+        let turn = rotate % ids.len();
+        ids.rotate_left(turn);
+        let spec = JobSpec {
+            app: &app,
+            node_ids: ids.into(),
+            threads_per_node: threads,
+            policy,
+            iterations: 2,
+        };
+        let total = job_time(&cluster, &spec).as_secs();
+        let report = run_job(&mut cluster.clone(), &spec, 0, &mut clip_obs::NoopRecorder);
+        prop_assert_eq!(total.to_bits(), report.total_time.as_secs().to_bits());
+        let bound = match bound_pick {
+            0 => f64::INFINITY,
+            1 => total,
+            2 => total.next_up(),
+            3 => total.next_down(),
+            _ => total * scale,
+        };
+        let below = job_time_below(&cluster, &spec, TimeSpan::secs(bound));
+        prop_assert_eq!(
+            below.map(|t| t.as_secs().to_bits()),
+            (total < bound).then_some(total.to_bits())
+        );
     }
 
     /// Job reports are deterministic given the same cluster and spec.

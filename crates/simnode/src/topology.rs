@@ -4,7 +4,7 @@
 //! sockets, 12 cores each, one NUMA memory domain per socket. The topology is
 //! fully parameterized so tests can build smaller machines.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Most sockets a node may have (the paper's testbed node has 2). A thread
 /// placement keeps its per-socket counts in a fixed array of this length,
@@ -21,8 +21,10 @@ pub struct CoreId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SocketId(pub usize);
 
-/// Static shape of a compute node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Static shape of a compute node. Deserializing checks the shape as
+/// [`NodeTopology::new`] does, so a bad node description fails where it is
+/// read.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NodeTopology {
     sockets: usize,
     cores_per_socket: usize,
@@ -32,18 +34,27 @@ impl NodeTopology {
     /// Build a topology; both dimensions must be non-zero, and there may
     /// be at most [`MAX_SOCKETS`] sockets.
     pub fn new(sockets: usize, cores_per_socket: usize) -> Self {
-        assert!(sockets > 0, "topology needs at least one socket");
-        assert!(
-            sockets <= MAX_SOCKETS,
-            "{sockets} sockets exceed the supported {MAX_SOCKETS}"
-        );
-        assert!(
-            cores_per_socket > 0,
-            "topology needs at least one core per socket"
-        );
+        let invalid = Self::invalid(sockets, cores_per_socket);
+        assert!(invalid.is_none(), "{}", invalid.unwrap_or_default());
         Self {
             sockets,
             cores_per_socket,
+        }
+    }
+
+    /// Why a node of `sockets` × `cores_per_socket` cannot be built, if it
+    /// cannot.
+    fn invalid(sockets: usize, cores_per_socket: usize) -> Option<String> {
+        if sockets == 0 {
+            Some("topology needs at least one socket".to_string())
+        } else if sockets > MAX_SOCKETS {
+            Some(format!(
+                "{sockets} sockets exceed the supported {MAX_SOCKETS}"
+            ))
+        } else if cores_per_socket == 0 {
+            Some("topology needs at least one core per socket".to_string())
+        } else {
+            None
         }
     }
 
@@ -89,6 +100,28 @@ impl NodeTopology {
     /// configuration (rounded down, at least 1).
     pub fn half_cores(&self) -> usize {
         (self.total_cores() / 2).max(1)
+    }
+}
+
+impl Deserialize for NodeTopology {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        if !matches!(v, Value::Object(_)) {
+            return Err(Error::invalid_type("object", v));
+        }
+        let field = |name: &str| match v.get(name) {
+            Some(x) => usize::deserialize_value(x),
+            None => serde::missing_field(name),
+        };
+        let (sockets, cores_per_socket) = (field("sockets")?, field("cores_per_socket")?);
+        match Self::invalid(sockets, cores_per_socket) {
+            Some(why) => Err(Error::custom(format!(
+                "invalid topology of {sockets} sockets x {cores_per_socket} cores: {why}"
+            ))),
+            None => Ok(Self {
+                sockets,
+                cores_per_socket,
+            }),
+        }
     }
 }
 
@@ -142,6 +175,12 @@ mod tests {
     #[should_panic(expected = "sockets exceed the supported")]
     fn too_many_sockets_rejected() {
         NodeTopology::new(MAX_SOCKETS + 1, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core per socket")]
+    fn zero_cores_per_socket_rejected() {
+        NodeTopology::new(2, 0);
     }
 
     #[test]

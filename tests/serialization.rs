@@ -125,6 +125,54 @@ fn vec_form_json(policy: AffinityPolicy, active_per_socket: Vec<usize>) -> Strin
     )
 }
 
+/// A node description is checked where it is read: every shape that
+/// `NodeTopology::new` rejects fails to parse, alone or inside a `Node`,
+/// with an error that names it; a good one round-trips to the same bytes.
+#[test]
+fn bad_node_topology_fails_to_parse() {
+    let haswell = NodeTopology::haswell_2x12();
+    let json = serde_json::to_string(&haswell).expect("serialize topology");
+    assert_eq!(json, r#"{"sockets":2,"cores_per_socket":12}"#);
+    let back: NodeTopology = serde_json::from_str(&json).expect("deserialize topology");
+    assert_eq!(back, haswell);
+    assert_eq!(
+        serde_json::to_string(&back).expect("serialize topology"),
+        json
+    );
+
+    let node_json = serde_json::to_string(&Node::haswell()).expect("serialize node");
+    assert!(node_json.contains(&json), "{node_json}");
+    let node: Node = serde_json::from_str(&node_json).expect("deserialize node");
+    assert_eq!(node.topology(), &haswell);
+    for (sockets, cores, why) in [
+        (0, 4, "topology needs at least one socket"),
+        (9, 4, "9 sockets exceed the supported 4"),
+        (5, 12, "5 sockets exceed the supported 4"),
+        (2, 0, "topology needs at least one core per socket"),
+    ] {
+        let bad = format!(r#"{{"sockets":{sockets},"cores_per_socket":{cores}}}"#);
+        let err = serde_json::from_str::<NodeTopology>(&bad)
+            .err()
+            .map(|e| e.to_string());
+        let named = format!("{sockets} sockets x {cores} cores: {why}");
+        assert!(
+            err.as_deref().is_some_and(|e| e.contains(&named)),
+            "{bad}: expected an error with {named:?}, got {err:?}"
+        );
+        let bad_node = node_json.replace(&json, &bad);
+        assert!(
+            serde_json::from_str::<Node>(&bad_node).is_err(),
+            "{bad_node}"
+        );
+    }
+    for partial in [r#"{"sockets":2}"#, "[2,12]"] {
+        assert!(
+            serde_json::from_str::<NodeTopology>(partial).is_err(),
+            "{partial}"
+        );
+    }
+}
+
 #[test]
 fn placement_json_matches_the_vec_form_and_roundtrips() {
     let testbed = Placement::resolve(&NodeTopology::haswell_2x12(), 16, AffinityPolicy::Compact);
