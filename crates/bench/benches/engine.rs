@@ -52,8 +52,9 @@ fn bench_epoch_execute(c: &mut Criterion) {
         );
     });
 
-    // Same work through the engine with the no-op recorder; any gap here
-    // is pure abstraction cost.
+    // Same work through the engine with the no-op recorder. A fresh
+    // engine's job memo is empty, so every iteration is a miss: any gap
+    // here is abstraction cost plus the memo's first fill.
     group.bench_function("engine_noop", |b| {
         b.iter_batched(
             || Cluster::paper_testbed(HARNESS_SEED),

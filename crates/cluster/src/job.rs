@@ -15,13 +15,23 @@
 //! fraction. The managed cluster power CLIP budgets against is the sum of
 //! the participating nodes' averages; idle (non-participating) nodes are
 //! reported separately.
+//!
+//! A job is its ranks, each executed or replayed, and one function turns
+//! the ranks' reports into the [`JobReport`]: the barrier blend, the
+//! per-rank trace events and the totals. [`run_job`] executes every rank.
+//! A [`JobMemo`] keeps the last job's rank reports and replays them
+//! ([`simnode::Node::replay`]) when the next job repeats it: the same nodes,
+//! threads, policy, iterations and per-rank workload, on nodes with the
+//! same caps and [`PowerState`]. Only the RAPL accounting runs again, so
+//! the report, the trace and every counter are what executing would give.
 
 use crate::fleet::Cluster;
 use serde::{Deserialize, Serialize};
 use simkit::{Power, TimeSpan};
-use simnode::{AffinityPolicy, ExecutionReport};
+use simnode::{AffinityPolicy, ExecutionReport, Node, PowerCaps, PowerState};
 use std::borrow::Cow;
-use workload::AppModel;
+use std::sync::Arc;
+use workload::{AppModel, Phase, RankInputs};
 
 /// What to run and how.
 #[derive(Debug, Clone)]
@@ -60,7 +70,7 @@ impl<'a> JobSpec<'a> {
 }
 
 /// Per-node outcome within a job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct NodeOutcome {
     /// Cluster index of the node.
     pub node_id: usize,
@@ -76,8 +86,8 @@ pub struct NodeOutcome {
 #[must_use = "a job report carries the measured power and performance"]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobReport {
-    /// Application name.
-    pub app_name: String,
+    /// Application name, shared with the [`AppModel`] that ran.
+    pub app_name: Arc<str>,
     /// Participating node count.
     pub nodes_used: usize,
     /// Threads per node.
@@ -219,21 +229,43 @@ pub fn run_job<R: clip_obs::Recorder>(
     rec: &mut R,
 ) -> JobReport {
     check_spec(cluster, spec);
-    let n_nodes = spec.node_ids.len();
-    let rank = spec.app.per_rank(n_nodes);
+    execute_ranks(cluster, spec, epoch, rec)
+}
 
-    // Execute every rank under its own node's caps; the barrier blend
-    // below fills in each outcome's wait fraction and average power.
-    let mut per_node: Vec<NodeOutcome> = spec
-        .node_ids
-        .iter()
-        .map(|&id| {
-            let report = cluster.node_mut(id).execute(
-                &rank,
-                spec.threads_per_node,
-                spec.policy,
-                spec.iterations,
-            );
+/// [`run_job`] after its spec checks: execute every rank under its own
+/// node's caps.
+fn execute_ranks<R: clip_obs::Recorder>(
+    cluster: &mut Cluster,
+    spec: &JobSpec<'_>,
+    epoch: u64,
+    rec: &mut R,
+) -> JobReport {
+    let rank = spec.app.per_rank(spec.node_ids.len());
+    let ranks = spec.node_ids.iter().map(|&id| (id, ()));
+    report_ranks(cluster, spec, epoch, rec, ranks, |node, ()| {
+        node.execute(&rank, spec.threads_per_node, spec.policy, spec.iterations)
+    })
+}
+
+/// Build a job's report from its ranks: `ranks` lists each rank's node in
+/// `spec.node_ids` order with what `rank_report` needs to produce the
+/// rank's report on that node, and this function owns everything after
+/// that. It emits each rank's `DvfsResolved` event, blends busy and
+/// barrier-wait power, emits the `NodePowerSample` events and
+/// `node_wait_fraction` observations, and sums the totals.
+fn report_ranks<R: clip_obs::Recorder, T>(
+    cluster: &mut Cluster,
+    spec: &JobSpec<'_>,
+    epoch: u64,
+    rec: &mut R,
+    ranks: impl Iterator<Item = (usize, T)>,
+    mut rank_report: impl FnMut(&mut Node, T) -> ExecutionReport,
+) -> JobReport {
+    // Each rank's report; the barrier blend below fills in each outcome's
+    // wait fraction and average power.
+    let mut per_node: Vec<NodeOutcome> = ranks
+        .map(|(id, input)| {
+            let report = rank_report(cluster.node_mut(id), input);
             if rec.enabled_for(clip_obs::EventClass::Actuation) {
                 let op = &report.op;
                 rec.event_with(epoch, clip_obs::EventClass::Actuation, || {
@@ -299,8 +331,8 @@ pub fn run_job<R: clip_obs::Recorder>(
     }
 
     JobReport {
-        app_name: spec.app.name().to_string(),
-        nodes_used: n_nodes,
+        app_name: Arc::clone(spec.app.shared_name()),
+        nodes_used: spec.node_ids.len(),
         threads_per_node: spec.threads_per_node,
         iterations: spec.iterations,
         iteration_time,
@@ -309,6 +341,114 @@ pub fn run_job<R: clip_obs::Recorder>(
         cluster_power,
         max_node_power,
         per_node,
+    }
+}
+
+/// The scalar half of a [`JobMemo`]'s key.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct JobShape {
+    threads_per_node: usize,
+    policy: AffinityPolicy,
+    iterations: usize,
+    odd_penalty: f64,
+}
+
+impl JobShape {
+    fn of(spec: &JobSpec<'_>, inputs: &RankInputs<'_>) -> Self {
+        Self {
+            threads_per_node: spec.threads_per_node,
+            policy: spec.policy,
+            iterations: spec.iterations,
+            odd_penalty: inputs.odd_penalty(),
+        }
+    }
+}
+
+/// One rank of the memoized job: its node, what the node's execution read
+/// from it, and the report it produced.
+#[derive(Debug, Clone, Copy)]
+struct RankMemo {
+    node_id: usize,
+    caps: PowerCaps,
+    state: PowerState,
+    report: ExecutionReport,
+}
+
+/// The last job's per-rank reports, kept so that a job repeating it
+/// replays every rank instead of simulating it again.
+///
+/// The key is everything a rank's execution reads: the node ids in order,
+/// threads, policy and iterations; each participant's programmed caps and
+/// [`PowerState`]; and the app's [`RankInputs`] (its phases and
+/// odd-concurrency penalty). The app's name and communication model are
+/// not in it, since the report body recomputes them on every job. A *hit*
+/// (the key matches) replays every rank; a *miss* runs the job as
+/// [`run_job`] does and refills the memo's buffers in place. Floats in the
+/// key compare with `==`, so a NaN input never hits.
+#[derive(Debug, Default)]
+pub struct JobMemo {
+    shape: Option<JobShape>,
+    phases: Vec<Phase>,
+    ranks: Vec<RankMemo>,
+}
+
+impl JobMemo {
+    /// Run `spec` as [`run_job`] does, replaying the last job's ranks when
+    /// the key matches. The report, trace events and RAPL counters are
+    /// bit-identical to [`run_job`]'s either way, and it panics where
+    /// [`run_job`] does, hit or miss.
+    pub fn run_or_replay<R: clip_obs::Recorder>(
+        &mut self,
+        cluster: &mut Cluster,
+        spec: &JobSpec<'_>,
+        epoch: u64,
+        rec: &mut R,
+    ) -> JobReport {
+        if self.replays(cluster, spec) {
+            // The memoized ranks are the spec's nodes, in order. The call
+            // is spelled out so clip-lint's call graph sees it.
+            let ranks = self.ranks.iter().map(|rank| (rank.node_id, &rank.report));
+            return report_ranks(cluster, spec, epoch, rec, ranks, |node, last| {
+                node.replay(last)
+            });
+        }
+        let report = execute_ranks(cluster, spec, epoch, rec);
+        let inputs = spec.app.rank_inputs();
+        self.shape = Some(JobShape::of(spec, &inputs));
+        self.phases.clear();
+        self.phases.extend_from_slice(inputs.phases());
+        self.ranks.clear();
+        self.ranks.extend(report.per_node.iter().map(|n| {
+            let node = cluster.node(n.node_id);
+            RankMemo {
+                node_id: n.node_id,
+                caps: node.caps(),
+                state: node.power_state(),
+                report: n.report,
+            }
+        }));
+        report
+    }
+
+    /// Whether running `spec` on `cluster` now would replay the memoized
+    /// job. Runs [`run_job`]'s spec checks first, so it panics where
+    /// [`run_job`] does.
+    pub fn replays(&self, cluster: &Cluster, spec: &JobSpec<'_>) -> bool {
+        check_spec(cluster, spec);
+        let inputs = spec.app.rank_inputs();
+        self.shape == Some(JobShape::of(spec, &inputs))
+            && self.phases.iter().eq(inputs.phases())
+            && self.ranks.len() == spec.node_ids.len()
+            && self
+                .ranks
+                .iter()
+                .zip(spec.node_ids.iter())
+                .all(|(rank, &id)| {
+                    let node = cluster.node(id);
+                    rank.node_id == id
+                        && rank.caps == node.caps()
+                        && rank.state == node.power_state()
+                })
     }
 }
 

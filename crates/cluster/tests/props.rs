@@ -3,7 +3,7 @@
 //! and differential bounds of the fault-injection layer.
 
 use cluster_sim::{
-    job_time, job_time_below, run_job, Cluster, FaultPlan, JobSpec, VariabilityModel,
+    job_time, job_time_below, run_job, Cluster, FaultPlan, JobMemo, JobSpec, VariabilityModel,
 };
 use proptest::prelude::*;
 use simkit::{Power, SimRng, TimeSpan};
@@ -168,6 +168,80 @@ proptest! {
         let j2 = run_job(&mut c2, &spec, 0, &mut clip_obs::NoopRecorder);
         prop_assert_eq!(j1.total_time, j2.total_time);
         prop_assert_eq!(j1.cluster_power, j2.cluster_power);
+    }
+
+    /// A job memo run after run gives `run_job`'s report and leaves every
+    /// node's RAPL registers and accounted time where `run_job` leaves
+    /// them, bit for bit, whatever changes between runs: a node's caps,
+    /// jitter or efficiency, or the node set. A run that changes nothing
+    /// replays.
+    #[test]
+    fn memo_replay_matches_run_job(
+        seed in any::<u64>(),
+        sigma in 0.0f64..0.1,
+        nodes in 1usize..=8,
+        threads in 1usize..=24,
+        policy in policy_strategy(),
+        cap_cpu in 60.0f64..200.0,
+        steps in prop::collection::vec(
+            (0u8..6, 0usize..8, 60.0f64..200.0, -0.08f64..0.08, 0.9f64..1.1),
+            1..16,
+        ),
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let app = corpus::gen_mixed(&mut rng, 0);
+        let mut memoized =
+            Cluster::with_variability(8, &VariabilityModel::with_sigma(sigma), seed);
+        memoized.set_uniform_caps(PowerCaps::new(Power::watts(cap_cpu), Power::watts(25.0)));
+        let mut twin = memoized.clone();
+        let mut node_ids: Vec<usize> = (0..nodes).collect();
+        let mut memo = JobMemo::default();
+        for (step, &(kind, node, cpu, jitter, efficiency)) in steps.iter().enumerate() {
+            for cluster in [&mut memoized, &mut twin] {
+                match kind {
+                    2 => cluster
+                        .node_mut(node)
+                        .set_caps(PowerCaps::new(Power::watts(cpu), Power::watts(25.0))),
+                    3 => cluster.set_cap_jitter(node, if jitter.abs() < 0.03 { 0.0 } else { jitter }),
+                    4 => cluster.set_node_efficiency(node, efficiency),
+                    _ => {}
+                }
+            }
+            if kind == 5 {
+                match node_ids.iter().position(|&id| id == node) {
+                    Some(at) if node_ids.len() > 1 => {
+                        node_ids.remove(at);
+                    }
+                    Some(_) => {}
+                    None => node_ids.push(node),
+                }
+            }
+            let spec = JobSpec {
+                app: &app,
+                node_ids: node_ids.clone().into(),
+                threads_per_node: threads,
+                policy,
+                iterations: 2,
+            };
+            if step > 0 && kind < 2 {
+                prop_assert!(memo.replays(&memoized, &spec), "step {step} repeats");
+            }
+            let got = memo.run_or_replay(&mut memoized, &spec, 0, &mut clip_obs::NoopRecorder);
+            let want = run_job(&mut twin, &spec, 0, &mut clip_obs::NoopRecorder);
+            prop_assert_eq!(
+                serde_json::to_string(&got).unwrap(),
+                serde_json::to_string(&want).unwrap()
+            );
+            for id in 0..memoized.len() {
+                let (a, b) = (memoized.node(id), twin.node(id));
+                prop_assert_eq!(a.rapl_pkg_raw(), b.rapl_pkg_raw());
+                prop_assert_eq!(a.rapl_dram_raw(), b.rapl_dram_raw());
+                prop_assert_eq!(
+                    a.rapl_elapsed().as_secs().to_bits(),
+                    b.rapl_elapsed().as_secs().to_bits()
+                );
+            }
+        }
     }
 }
 

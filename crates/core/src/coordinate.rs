@@ -11,13 +11,13 @@
 //!
 //! Like Inadomi et al.'s one-time power-variation table, the probe runs
 //! once per node power state: a [`CalibrationTable`] keeps each node's
-//! probe power with the efficiency factor and cap jitter it was measured
-//! at, and re-probes a node only when one of them has changed.
+//! probe power with the [`PowerState`] (efficiency factor and cap jitter)
+//! it was measured at, and re-probes a node only when it has changed.
 
 use crate::audit::BudgetLedger;
 use cluster_sim::{Cluster, VariabilityModel};
 use simkit::Power;
-use simnode::{AffinityPolicy, Node, PowerCaps};
+use simnode::{AffinityPolicy, Node, PowerCaps, PowerState};
 use workload::{suite, AppModel};
 
 /// Measure each listed node's relative power appetite: run a short,
@@ -27,25 +27,6 @@ pub fn measure_efficiencies(cluster: &mut Cluster, node_ids: &[usize]) -> Vec<f6
     let mut fresh = CalibrationTable::default();
     fresh.measure(cluster, node_ids);
     fresh.ranked.into_iter().map(|(_, f)| f).collect()
-}
-
-/// The node inputs a probe's package power depends on that can change
-/// after the cluster is built: the efficiency factor (drift and straggle
-/// faults) and the RAPL actuation jitter. Topology, P-states, memory and
-/// the rest of the power model are fixed when `Cluster` builds the node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PowerState {
-    efficiency: f64,
-    cap_jitter: f64,
-}
-
-impl PowerState {
-    fn of(node: &Node) -> Self {
-        Self {
-            efficiency: node.power_model().efficiency,
-            cap_jitter: node.cap_jitter(),
-        }
-    }
 }
 
 /// Per-node probe powers, each measured once per node power state.
@@ -98,7 +79,7 @@ impl CalibrationTable {
         threads: usize,
         probe: &mut Option<AppModel>,
     ) -> Power {
-        let state = PowerState::of(node);
+        let state = node.power_state();
         if let Some(&Some((measured_at, power))) = self.entries.get(id) {
             if measured_at == state {
                 return power;

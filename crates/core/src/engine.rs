@@ -13,8 +13,10 @@
 //!    changed the pool (full budget — a dead node's share is reclaimed);
 //! 3. plan / `plan_subset` through the [`PowerScheduler`] trait, draining
 //!    the scheduler's buffered decision events;
-//! 4. RAPL/DVFS actuation + job execution through [`execute_plan`] — the
-//!    single actuation path;
+//! 4. RAPL/DVFS actuation + job execution: the plan is programmed as
+//!    [`crate::execute_plan`] programs it, and the job runs through the
+//!    engine's [`JobMemo`], so an epoch that repeats the last one on nodes
+//!    in the same state replays its ranks instead of simulating them;
 //! 5. ledger plan audit and actuation audit (injected jitter classified,
 //!    not punished);
 //! 6. trace/metric emission, gated on [`Recorder::enabled`].
@@ -30,9 +32,9 @@
 //! the engine reproduces the pre-refactor harness byte for byte.
 
 use crate::audit::{ActuationCheck, BudgetLedger};
-use crate::scheduler::{execute_plan, PowerScheduler, SchedulePlan};
+use crate::scheduler::{program_plan, PowerScheduler, SchedulePlan};
 use clip_obs::{NoopRecorder, Recorder};
-use cluster_sim::{Cluster, JobReport};
+use cluster_sim::{Cluster, JobMemo, JobReport};
 use serde::{Deserialize, Serialize};
 use simkit::{Power, TimeSpan};
 use workload::AppModel;
@@ -423,16 +425,17 @@ pub struct EpochPrep {
 
 /// The recorder-generic epoch engine.
 ///
-/// Owns the cluster budget, the current epoch stamp and the recorder; the
-/// scheduler is borrowed per call so drivers (like the dispatcher) can
-/// consult their scheduler between engine calls. Construct with a
-/// [`NoopRecorder`] for the zero-cost untraced path, or with
-/// `&mut TraceRecorder` to narrate every decision point.
+/// Owns the cluster budget, the current epoch stamp, the recorder and the
+/// last job's [`JobMemo`]; the scheduler is borrowed per call so drivers
+/// (like the dispatcher) can consult their scheduler between engine calls.
+/// Construct with a [`NoopRecorder`] for the zero-cost untraced path, or
+/// with `&mut TraceRecorder` to narrate every decision point.
 #[derive(Debug)]
 pub struct EpochEngine<R: Recorder = NoopRecorder> {
     budget: Power,
     rec: R,
     epoch: u64,
+    memo: JobMemo,
 }
 
 impl<R: Recorder> EpochEngine<R> {
@@ -442,6 +445,7 @@ impl<R: Recorder> EpochEngine<R> {
             budget,
             rec,
             epoch: 0,
+            memo: JobMemo::default(),
         }
     }
 
@@ -505,7 +509,11 @@ impl<R: Recorder> EpochEngine<R> {
     }
 
     /// Actuate and execute a plan at the current epoch stamp: program the
-    /// caps (RAPL), resolve DVFS, run the job — the single actuation path.
+    /// caps (RAPL) as [`crate::execute_plan`] does, then run the job
+    /// through the engine's [`JobMemo`]. A job that repeats the engine's
+    /// last one, on nodes with the same caps and power state, replays its
+    /// ranks. The report, trace events and RAPL counters are the ones
+    /// `execute_plan` gives either way.
     pub fn execute(
         &mut self,
         cluster: &mut Cluster,
@@ -513,7 +521,9 @@ impl<R: Recorder> EpochEngine<R> {
         plan: &SchedulePlan,
         iterations: usize,
     ) -> JobReport {
-        execute_plan(cluster, app, plan, iterations, self.epoch, &mut self.rec)
+        let spec = program_plan(cluster, app, plan, iterations, self.epoch, &mut self.rec);
+        self.memo
+            .run_or_replay(cluster, &spec, self.epoch, &mut self.rec)
     }
 
     /// Drive `scheduler` through `policy` on `cluster` for `cfg.epochs`
@@ -831,7 +841,7 @@ impl<R: Recorder> EpochEngine<R> {
 mod tests {
     use super::*;
     use crate::mlr::InflectionPredictor;
-    use crate::scheduler::ClipScheduler;
+    use crate::scheduler::{execute_plan, ClipScheduler};
     use workload::suite;
 
     fn clip() -> ClipScheduler {
@@ -915,6 +925,187 @@ mod tests {
         let report = engine.execute(&mut cluster, &app, &plan, 2);
         assert!(report.performance() > 0.0);
         assert!(report.cluster_power <= budget + Power::watts(1.0));
+    }
+
+    /// One job of the replay script: the app, plan and iterations both
+    /// sides run, and the power state of the plan's first node.
+    struct ScriptJob {
+        app: AppModel,
+        plan: SchedulePlan,
+        iterations: usize,
+        efficiency: f64,
+        jitter: f64,
+    }
+
+    impl ScriptJob {
+        /// Put the plan's first node of `cluster` into this job's state.
+        fn apply(&self, cluster: &mut Cluster) {
+            let id = self.plan.node_ids[0];
+            cluster.set_node_efficiency(id, self.efficiency);
+            cluster.set_cap_jitter(id, self.jitter);
+        }
+    }
+
+    /// `app` with every phase's parallel work scaled by `factor`.
+    fn reworked(app: &AppModel, name: &str, factor: f64) -> AppModel {
+        let phases = app
+            .phases()
+            .iter()
+            .map(|p| workload::Phase {
+                parallel_gcycles: p.parallel_gcycles * factor,
+                ..*p
+            })
+            .collect();
+        AppModel::new(name, phases).with_odd_penalty(app.odd_penalty())
+    }
+
+    /// Each step edits the job, says whether the engine's memo must replay
+    /// it, and both sides run it.
+    type Step = (&'static str, bool, fn(&mut ScriptJob));
+
+    const SCRIPT: [Step; 19] = [
+        ("first job", false, |_| {}),
+        ("repeat", true, |_| {}),
+        ("repeat again", true, |_| {}),
+        ("efficiency drift", false, |j| j.efficiency = 1.08),
+        ("drift repeated", true, |_| {}),
+        ("drift reverted", false, |j| j.efficiency = 1.02),
+        ("jitter on", false, |j| j.jitter = 0.05),
+        ("jitter repeated", true, |_| {}),
+        ("jitter off", false, |j| j.jitter = 0.0),
+        ("changed caps", false, |j| {
+            j.plan.caps[1].cpu -= Power::watts(30.0)
+        }),
+        ("changed threads", false, |j| j.plan.threads_per_node = 11),
+        ("changed policy", false, |j| {
+            j.plan.policy = simnode::AffinityPolicy::Scatter
+        }),
+        ("changed iterations", false, |j| j.iterations = 3),
+        ("changed node set", false, |j| {
+            j.plan.node_ids.pop();
+            j.plan.caps.pop();
+        }),
+        ("other odd penalty", false, |j| {
+            j.app = j.app.clone().with_odd_penalty(0.05)
+        }),
+        ("same name, other phases", false, |j| {
+            j.app = reworked(&j.app, j.app.name(), 1.01).with_comm(j.app.comm().clone())
+        }),
+        // Another name and the default communication model: both stay
+        // out of the key, and the report recomputes them.
+        ("same phases, other name", true, |j| {
+            j.app = reworked(&j.app, "renamed", 1.0)
+        }),
+        ("repeat renamed", true, |_| {}),
+        ("repeat renamed again", true, |_| {}),
+    ];
+
+    /// Drive `EpochEngine::execute` through [`SCRIPT`] and a crash, and
+    /// run every step through `execute_plan` on a twin fleet. After each
+    /// step the reports serialize to the same bytes and every node's RAPL
+    /// registers and accounted time agree bit for bit. Returns both
+    /// recorders.
+    fn run_script<R: Recorder>(engine_rec: R, mut ref_rec: R) -> (R, R) {
+        let mut cluster = Cluster::paper_testbed(11);
+        let mut twin = cluster.clone();
+        let mut engine = EpochEngine::new(Power::watts(2000.0), engine_rec);
+        let mut job = ScriptJob {
+            app: suite::comd(),
+            plan: SchedulePlan {
+                scheduler: "script".to_string(),
+                node_ids: vec![1, 2, 4, 5, 7],
+                threads_per_node: 24,
+                policy: simnode::AffinityPolicy::Compact,
+                caps: (0..5)
+                    .map(|i| {
+                        let cpu = Power::watts(110.0 + 6.0 * i as f64);
+                        simnode::PowerCaps::new(cpu, Power::watts(22.0))
+                    })
+                    .collect(),
+            },
+            iterations: 2,
+            efficiency: 1.02,
+            jitter: 0.0,
+        };
+        for (step, (what, replays, edit)) in SCRIPT.iter().enumerate() {
+            edit(&mut job);
+            job.apply(&mut cluster);
+            job.apply(&mut twin);
+            let epoch = step as u64;
+            engine.set_epoch(epoch);
+            // Program the caps as `execute` will, to ask the memo first.
+            let spec = program_plan(
+                &mut cluster,
+                &job.app,
+                &job.plan,
+                job.iterations,
+                epoch,
+                &mut NoopRecorder,
+            );
+            let replayed = engine.memo.replays(&cluster, &spec);
+            let got = engine.execute(&mut cluster, &job.app, &job.plan, job.iterations);
+            let want = execute_plan(
+                &mut twin,
+                &job.app,
+                &job.plan,
+                job.iterations,
+                epoch,
+                &mut ref_rec,
+            );
+            assert_eq!(&*got.app_name, job.app.name(), "{what}");
+            assert_eq!(
+                serde_json::to_string(&got).unwrap(),
+                serde_json::to_string(&want).unwrap(),
+                "{what}"
+            );
+            for id in 0..cluster.len() {
+                let (a, b) = (cluster.node(id), twin.node(id));
+                assert_eq!(a.rapl_pkg_raw(), b.rapl_pkg_raw(), "{what}: node {id}");
+                assert_eq!(a.rapl_dram_raw(), b.rapl_dram_raw(), "{what}: node {id}");
+                assert_eq!(
+                    a.rapl_elapsed().as_secs().to_bits(),
+                    b.rapl_elapsed().as_secs().to_bits(),
+                    "{what}: node {id}"
+                );
+            }
+            assert_eq!(replayed, *replays, "{what}: replayed");
+        }
+
+        // A crashed participant fails the job with run_job's message, memo
+        // or not.
+        let dead = job.plan.node_ids[1];
+        cluster.fail_node(dead);
+        twin.fail_node(dead);
+        let epoch = SCRIPT.len() as u64;
+        engine.set_epoch(epoch);
+        let (app, plan, iterations) = (&job.app, &job.plan, job.iterations);
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.execute(&mut cluster, app, plan, iterations)
+        }));
+        let want = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_plan(&mut twin, app, plan, iterations, epoch, &mut ref_rec)
+        }));
+        let expected = format!("node {dead} has crashed");
+        for (what, outcome) in [("engine", got.err()), ("execute_plan", want.err())] {
+            let msg = outcome.and_then(|p| p.downcast::<String>().ok());
+            assert_eq!(msg.as_deref(), Some(&expected), "{what}");
+        }
+        (engine.into_recorder(), ref_rec)
+    }
+
+    #[test]
+    fn engine_execute_replays_bit_identically_to_execute_plan() {
+        let _ = run_script(NoopRecorder, NoopRecorder);
+    }
+
+    #[test]
+    fn traced_replay_emits_execute_plans_frames() {
+        let ring = || clip_obs::TraceRecorder::new(clip_obs::RingSink::new(1 << 14));
+        let (got, want) = run_script(ring(), ring());
+        let (got, want) = (got.finish(), want.finish());
+        assert_eq!(got.dropped(), 0, "the ring holds the whole script");
+        assert!(!got.is_empty());
+        assert!(got.frames().eq(want.frames()), "trace frames differ");
     }
 
     #[test]

@@ -144,13 +144,14 @@ fn bw_of(report: &simnode::ExecutionReport) -> f64 {
 /// channel bandwidth), not a measurement of the application.
 const DRAM_SLOPE_PRIOR_W_PER_GBPS: f64 = 0.25;
 
-/// Least-squares line through up to three (bw, power) points. When the
+/// Least-squares line through the three (bw, power) samples. When the
 /// sampled bandwidths are indistinguishable (compute-bound applications
 /// barely load DRAM; saturated ones pin it), the slope is unidentifiable —
 /// fall back to the spec-sheet prior so burst-rate cap sizing still works.
-fn fit_dram_line(samples: &[(f64, f64)]) -> (f64, f64) {
-    let xs: Vec<f64> = samples.iter().map(|s| s.0).collect();
-    let ys: Vec<f64> = samples.iter().map(|s| s.1).collect();
+/// The coordinates stay in arrays, so a fit allocates nothing.
+fn fit_dram_line(samples: &[(f64, f64); 3]) -> (f64, f64) {
+    let xs = samples.map(|s| s.0);
+    let ys = samples.map(|s| s.1);
     let fit = simkit::stats::linear_fit(&xs, &ys);
     let spread = simkit::stats::max(&xs) - simkit::stats::min(&xs);
     if spread < 0.5 || fit.slope <= 0.0 {

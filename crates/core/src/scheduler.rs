@@ -119,8 +119,11 @@ pub trait PowerScheduler {
     }
 }
 
-/// Program a plan's caps and execute the job — the engine's single
-/// actuation path (every harness, dispatcher and bench goes through here).
+/// Program a plan's caps and execute the job — the actuation path every
+/// harness, dispatcher and bench goes through. [`crate::EpochEngine::execute`]
+/// programs the plan the same way and runs the job through its
+/// [`cluster_sim::JobMemo`]; this function keeps no memo and executes every
+/// rank.
 ///
 /// Generic over the telemetry recorder: emits the committed plan as one
 /// [`clip_obs::TraceEvent::PlanComputed`] plus a
@@ -137,6 +140,20 @@ pub fn execute_plan<R: clip_obs::Recorder>(
     epoch: u64,
     rec: &mut R,
 ) -> JobReport {
+    let spec = program_plan(cluster, app, plan, iterations, epoch, rec);
+    run_job(cluster, &spec, epoch, rec)
+}
+
+/// The first half of [`execute_plan`]: emit the plan's events, write its
+/// caps to the nodes, and return the job that runs under them.
+pub(crate) fn program_plan<'a, R: clip_obs::Recorder>(
+    cluster: &mut Cluster,
+    app: &'a AppModel,
+    plan: &'a SchedulePlan,
+    iterations: usize,
+    epoch: u64,
+    rec: &mut R,
+) -> JobSpec<'a> {
     if rec.enabled_for(clip_obs::EventClass::Scheduler) {
         rec.event_with(epoch, clip_obs::EventClass::Scheduler, || {
             clip_obs::TraceEvent::PlanComputed {
@@ -171,7 +188,7 @@ pub fn execute_plan<R: clip_obs::Recorder>(
             });
         }
     }
-    let spec = JobSpec {
+    JobSpec {
         app,
         // Borrowed, not cloned: the plan owns the ids for the epoch and
         // the job only reads them (hot-alloc — this ran every epoch).
@@ -179,8 +196,7 @@ pub fn execute_plan<R: clip_obs::Recorder>(
         threads_per_node: plan.threads_per_node,
         policy: plan.policy,
         iterations,
-    };
-    run_job(cluster, &spec, epoch, rec)
+    }
 }
 
 /// The CLIP scheduler (paper Algorithm 1).

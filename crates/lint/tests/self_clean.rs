@@ -91,16 +91,18 @@ fn hot_path_budgets_hold_the_ratchet() {
     // `execute_part` call. A job runs its ranks against a borrowed
     // per-rank view of the app, so no `strong_scale` copy is on the
     // execute path: what it still allocates is the job report's per-node
-    // buffer and name. A placement keeps its per-socket counts inline, and
-    // a ledger borrows the scheduler's name, copying it only into a
-    // violation, so neither allocates on the happy path.
+    // buffer. The report shares its app's name, the engine's job memo
+    // refills its buffers in place, and a replayed rank is a copy. A
+    // placement keeps its per-socket counts inline, and a ledger borrows
+    // the scheduler's name, copying it only into a violation, so neither
+    // allocates on the happy path.
     let pinned: Vec<(String, usize, usize)> = [
-        ("EpochEngine::execute", 2, 0),
+        ("EpochEngine::execute", 1, 0),
         ("EpochEngine::prepare_epoch", 7, 0),
-        ("EpochEngine::run", 11, 0),
+        ("EpochEngine::run", 10, 0),
         ("EpochEngine::settle_epoch", 3, 0),
-        ("run_sharded", 11, 0),
-        ("run_sharded_service", 11, 0),
+        ("run_sharded", 10, 0),
+        ("run_sharded_service", 10, 0),
     ]
     .into_iter()
     .map(|(e, a, s)| (e.to_string(), a, s))

@@ -42,7 +42,7 @@ impl std::fmt::Display for AffinityPolicy {
 }
 
 /// A resolved thread placement on a node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Placement {
     policy: AffinityPolicy,
     /// Busy cores on each socket; sums to the thread count.

@@ -22,7 +22,8 @@
 //!   execution model.
 //! - [`node`]: ties everything together — resolve an operating point under
 //!   caps, execute a workload for some iterations, report time / power /
-//!   energy / events.
+//!   energy / events, or replay the last execution when caps and
+//!   [`PowerState`] are unchanged.
 //!
 //! The application performance model itself lives in the `workload` crate;
 //! it plugs in through the [`node::NodeWorkload`] trait defined here.
@@ -39,7 +40,7 @@ pub mod topology;
 pub use affinity::{AffinityPolicy, Placement};
 pub use dvfs::PStateTable;
 pub use events::{EventCounters, HwEvent};
-pub use node::{ExecutionReport, Node, NodeWorkload, OperatingPoint};
+pub use node::{ExecutionReport, Node, NodeWorkload, OperatingPoint, PowerState};
 pub use power::PowerModel;
 pub use rapl::{PowerCaps, RaplController};
 pub use topology::{NodeTopology, MAX_SOCKETS};

@@ -15,6 +15,12 @@
 //!
 //! Applications plug in via [`NodeWorkload`], implemented by the `workload`
 //! crate.
+//!
+//! An execution depends on the node only through its programmed caps and
+//! its [`PowerState`]; everything else about a node is fixed when it is
+//! built. So a run that repeats the node's last one, under the same caps
+//! and state, can be *replayed* ([`Node::replay`]): the report is reused
+//! and only its interval is accounted through the RAPL counters again.
 
 use crate::affinity::{AffinityPolicy, Placement};
 use crate::dvfs::{EffectiveSpeed, PStateTable};
@@ -61,7 +67,7 @@ pub trait NodeWorkload {
 }
 
 /// A fully resolved execution state: placement, speed, and memory limits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OperatingPoint {
     /// Thread-to-socket placement.
     pub placement: Placement,
@@ -87,7 +93,7 @@ impl OperatingPoint {
 
 /// Measured outcome of executing a workload for some iterations.
 #[must_use = "an execution report carries the resolved operating point and measured power"]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionReport {
     /// Iterations executed.
     pub iterations: usize,
@@ -120,6 +126,23 @@ impl ExecutionReport {
     pub fn avg_total_power(&self) -> Power {
         self.avg_pkg_power + self.avg_dram_power
     }
+}
+
+/// What can change about a node after it is built: the efficiency factor
+/// (drift and straggle faults turn it) and the injected RAPL actuation
+/// jitter. Together with the programmed caps, this is every node input an
+/// execution reads.
+///
+/// Keys built on it rely on the rest being fixed. Topology, P-states,
+/// memory and the rest of the power model are set when the node is built,
+/// and neither [`Node`] nor `Cluster` has a setter for them. Replacing a
+/// whole node through a `&mut Node` is outside what this state sees.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerState {
+    /// The manufacturing-variability efficiency factor.
+    pub efficiency: f64,
+    /// The injected actuation-error fraction (0 = exact actuation).
+    pub cap_jitter: f64,
 }
 
 /// A simulated compute node.
@@ -246,6 +269,14 @@ impl Node {
         self.rapl.actuation_jitter()
     }
 
+    /// The node's current [`PowerState`].
+    pub fn power_state(&self) -> PowerState {
+        PowerState {
+            efficiency: self.power.efficiency,
+            cap_jitter: self.cap_jitter(),
+        }
+    }
+
     /// Overwrite the manufacturing-variability efficiency factor — the
     /// fault layer uses this to model slow-node straggle and variability
     /// drift (the part ages, its power appetite changes).
@@ -349,13 +380,7 @@ impl Node {
                 .pkg_power_throttled(active, f_min, activity, duty),
         };
 
-        // Account energy through the RAPL counters, reading deltas the way
-        // a real power monitor would.
-        let pkg_before = self.rapl.pkg_energy_raw();
-        let dram_before = self.rapl.dram_energy_raw();
-        self.rapl.account(avg_pkg_power, avg_dram_power, total_time);
-        let pkg_energy = EnergyCounter::delta(pkg_before, self.rapl.pkg_energy_raw());
-        let dram_energy = EnergyCounter::delta(dram_before, self.rapl.dram_energy_raw());
+        let (pkg_energy, dram_energy) = self.account(avg_pkg_power, avg_dram_power, total_time);
 
         let counters = EventCounters::synthesize(
             total_time,
@@ -379,6 +404,39 @@ impl Node {
             burst_bandwidth,
             op,
         }
+    }
+
+    /// Repeat `last`, this node's previous execution, without simulating
+    /// it again: the same timing, powers, PMU counters and operating point,
+    /// with the interval accounted through the RAPL counters as
+    /// [`Node::execute`] accounts it. The energies are the new counter
+    /// deltas, which can differ from `last`'s in the last unit, since the
+    /// registers count whole units.
+    ///
+    /// Exact only when `execute` would reproduce `last`: the same
+    /// workload, threads, policy and iterations, under the same caps and
+    /// [`PowerState`] as when `last` ran.
+    pub fn replay(&mut self, last: &ExecutionReport) -> ExecutionReport {
+        let (pkg_energy, dram_energy) =
+            self.account(last.avg_pkg_power, last.avg_dram_power, last.total_time);
+        ExecutionReport {
+            pkg_energy,
+            dram_energy,
+            ..*last
+        }
+    }
+
+    /// Account an interval at the given average powers through the RAPL
+    /// counters, reading the energy deltas the way a real power monitor
+    /// would.
+    fn account(&mut self, pkg: Power, dram: Power, time: TimeSpan) -> (Energy, Energy) {
+        let pkg_before = self.rapl.pkg_energy_raw();
+        let dram_before = self.rapl.dram_energy_raw();
+        self.rapl.account(pkg, dram, time);
+        (
+            EnergyCounter::delta(pkg_before, self.rapl.pkg_energy_raw()),
+            EnergyCounter::delta(dram_before, self.rapl.dram_energy_raw()),
+        )
     }
 }
 

@@ -11,6 +11,8 @@
 //!   across MPI ranks, leaving the serial term per-node.
 //!   [`AppModel::per_rank`] is the same per-rank workload as a borrowed
 //!   view, which the job executor runs without building a derived model.
+//!   The view reads the app through [`RankInputs`] alone (its name aside),
+//!   so those inputs are everything a rank's execution depends on.
 //! - **communication**: a [`CommModel`] adds `alpha + beta·(N−1)^gamma`
 //!   seconds per iteration when N > 1 nodes cooperate.
 //! - **odd-concurrency penalty**: the paper observes that odd thread counts
@@ -22,6 +24,7 @@ use crate::phase::Phase;
 use serde::{Deserialize, Serialize};
 use simkit::TimeSpan;
 use simnode::{NodeWorkload, OperatingPoint};
+use std::sync::Arc;
 
 /// Per-iteration communication cost across `N` nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,7 +76,9 @@ impl CommModel {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppModel {
-    name: String,
+    /// Shared, so a job report or a clone of the model takes a reference
+    /// instead of copying the text.
+    name: Arc<str>,
     phases: Vec<Phase>,
     comm: CommModel,
     /// Multiplicative slowdown applied at odd thread counts > 1.
@@ -85,7 +90,7 @@ pub struct AppModel {
 
 impl AppModel {
     /// Build and validate an application model.
-    pub fn new(name: impl Into<String>, phases: Vec<Phase>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, phases: Vec<Phase>) -> Self {
         assert!(!phases.is_empty(), "application needs at least one phase");
         for p in &phases {
             p.validate();
@@ -124,6 +129,11 @@ impl AppModel {
         &self.name
     }
 
+    /// The application name as a shared handle: cloning it copies no text.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// The phases (read-only).
     pub fn phases(&self) -> &[Phase] {
         &self.phases
@@ -150,7 +160,7 @@ impl AppModel {
     /// [`AppModel::per_rank`]'s view, named `"<app>@<nodes>n"`.
     pub fn strong_scale(&self, nodes: usize) -> AppModel {
         AppModel {
-            name: format!("{}@{}n", self.name, nodes),
+            name: format!("{}@{}n", self.name, nodes).into(),
             phases: self.per_rank(nodes).phases().collect(),
             comm: self.comm.clone(),
             odd_penalty: self.odd_penalty,
@@ -165,8 +175,17 @@ impl AppModel {
     pub fn per_rank(&self, nodes: usize) -> RankView<'_> {
         assert!(nodes >= 1, "strong scaling needs at least one node");
         RankView {
-            app: self,
+            name: &self.name,
+            inputs: self.rank_inputs(),
             ranks: nodes as f64,
+        }
+    }
+
+    /// What a rank's execution reads from this application.
+    pub fn rank_inputs(&self) -> RankInputs<'_> {
+        RankInputs {
+            phases: &self.phases,
+            odd_penalty: self.odd_penalty,
         }
     }
 
@@ -174,15 +193,45 @@ impl AppModel {
     /// phases weighted by nothing (peak demand across phases is what
     /// determines whether both memory controllers are worth waking).
     pub fn peak_bandwidth_demand_gbps(&self, threads: usize, f_ghz: f64) -> f64 {
-        self.phases
-            .iter()
-            .map(|p| p.bandwidth_demand_gbps(threads, f_ghz))
-            .fold(0.0, f64::max)
+        self.rank_inputs()
+            .peak_bandwidth_demand_gbps(threads, f_ghz)
     }
 
     /// True if any phase carries a contention term (parabolic ingredient).
     pub fn has_contention(&self) -> bool {
         self.phases.iter().any(|p| p.contention_gcycles > 0.0)
+    }
+}
+
+/// What a rank's execution reads from its application: the phases and the
+/// odd-concurrency penalty ([`AppModel::rank_inputs`]). [`RankView`]'s
+/// workload formulas read the app through these and its name alone, so two
+/// apps with equal inputs execute bit-identically on every rank, whatever
+/// their names and communication models. A memo keyed on these inputs
+/// cannot drift from the formulas.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RankInputs<'a> {
+    phases: &'a [Phase],
+    odd_penalty: f64,
+}
+
+impl<'a> RankInputs<'a> {
+    /// The application's phases, before strong scaling. Never empty.
+    pub fn phases(&self) -> &'a [Phase] {
+        self.phases
+    }
+
+    /// The odd-concurrency penalty factor.
+    pub fn odd_penalty(&self) -> f64 {
+        self.odd_penalty
+    }
+
+    /// [`AppModel::peak_bandwidth_demand_gbps`] over these phases.
+    fn peak_bandwidth_demand_gbps(&self, threads: usize, f_ghz: f64) -> f64 {
+        self.phases
+            .iter()
+            .map(|p| p.bandwidth_demand_gbps(threads, f_ghz))
+            .fold(0.0, f64::max)
     }
 }
 
@@ -192,14 +241,15 @@ impl AppModel {
 /// of workload formulas.
 #[derive(Debug, Clone, Copy)]
 pub struct RankView<'a> {
-    app: &'a AppModel,
+    name: &'a str,
+    inputs: RankInputs<'a>,
     ranks: f64,
 }
 
 impl RankView<'_> {
     /// The application's phases as this rank executes them.
     fn phases(&self) -> impl Iterator<Item = Phase> + '_ {
-        self.app.phases.iter().map(|p| Phase {
+        self.inputs.phases.iter().map(|p| Phase {
             parallel_gcycles: p.parallel_gcycles / self.ranks,
             mem_gbytes: p.mem_gbytes / self.ranks,
             contention_gcycles: p.contention_gcycles / self.ranks,
@@ -210,14 +260,14 @@ impl RankView<'_> {
 
 impl NodeWorkload for RankView<'_> {
     fn name(&self) -> &str {
-        &self.app.name
+        self.name
     }
 
     fn iteration_time(&self, op: &OperatingPoint) -> TimeSpan {
         let mut t: f64 = self.phases().map(|p| p.time_secs(op)).sum();
         let n = op.threads();
         if n > 1 && n % 2 == 1 {
-            t *= 1.0 + self.app.odd_penalty;
+            t *= 1.0 + self.inputs.odd_penalty;
         }
         TimeSpan::secs(t)
     }
@@ -255,7 +305,7 @@ impl NodeWorkload for RankView<'_> {
     fn shared_data_fraction(&self) -> f64 {
         let total: f64 = self.phases().map(|p| p.mem_gbytes).sum();
         if total <= 0.0 {
-            return self.app.phases[0].shared_frac;
+            return self.inputs.phases[0].shared_frac;
         }
         self.phases()
             .map(|p| p.shared_frac * p.mem_gbytes)
@@ -277,7 +327,7 @@ impl NodeWorkload for RankView<'_> {
     fn burst_bandwidth_demand(&self, op: &OperatingPoint) -> simkit::Bandwidth {
         // Per-thread demand is a rate, which strong scaling leaves alone.
         let f = op.frequency().as_ghz();
-        simkit::Bandwidth::gbps(self.app.peak_bandwidth_demand_gbps(op.threads(), f))
+        simkit::Bandwidth::gbps(self.inputs.peak_bandwidth_demand_gbps(op.threads(), f))
     }
 }
 

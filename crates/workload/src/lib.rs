@@ -33,7 +33,7 @@ pub mod phased;
 pub mod suite;
 
 pub use analysis::Characterization;
-pub use app::{AppModel, CommModel, RankView};
+pub use app::{AppModel, CommModel, RankInputs, RankView};
 pub use class::ScalabilityClass;
 pub use phase::Phase;
 pub use phased::{execute_phased, PhasePlan, PhasedReport};

@@ -132,10 +132,10 @@ import json, subprocess, sys
 
 # workload: (plan.allocs_per_call, alloc.per_epoch)
 CEILINGS = {
-    "fleet": (14.29, 319.44),
-    "service": (5.07, 13.92),
-    "service_traced": (5.46, 20.52),
-    "paper_grid": (14.90, 38.90),
+    "fleet": (13.39, 223.27),
+    "service": (5.07, 12.55),
+    "service_traced": (5.46, 19.16),
+    "paper_grid": (14.40, 37.40),
 }
 bench = json.load(open("BENCHMARK.json"))
 for workload in bench["workloads"]:
@@ -203,15 +203,17 @@ cargo build --offline --quiet --release -p clip-obs --bin clip-trace
 trace_file="target/quickstart-smoke.trace"
 rm -f "$trace_file"
 
-now_ms() { python3 -c 'import time; print(int(time.monotonic()*1000))'; }
+# The clock is bash's own $EPOCHREALTIME (seconds and microseconds), read
+# with both separators a locale may print stripped, so taking a time
+# starts no process: an interpreter's start-up would dwarf the runs timed.
 best_ms() { # best_ms <runs> <cmd...>
     local runs="$1"; shift
     local best="" t0 t1 dt
     for _ in $(seq "$runs"); do
-        t0="$(now_ms)"
+        t0="${EPOCHREALTIME/[.,]/}"
         "$@" > /dev/null
-        t1="$(now_ms)"
-        dt=$((t1 - t0))
+        t1="${EPOCHREALTIME/[.,]/}"
+        dt=$(((t1 - t0) / 1000))
         if [ -z "$best" ] || [ "$dt" -lt "$best" ]; then best="$dt"; fi
     done
     echo "$best"

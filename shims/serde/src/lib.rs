@@ -22,6 +22,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A JSON value: the entire data model of the shim.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,6 +273,21 @@ impl Deserialize for String {
 impl Serialize for str {
     fn serialize_value(&self) -> Value {
         Value::String(self.to_owned())
+    }
+}
+
+/// A shared string serializes as the plain string it holds.
+impl Serialize for Arc<str> {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        v.as_str()
+            .map(Arc::from)
+            .ok_or_else(|| Error::invalid_type("string", v))
     }
 }
 
