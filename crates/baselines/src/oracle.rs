@@ -9,22 +9,38 @@
 //! [`clip_core::execute_plan`]; the score, `EVAL_ITERATIONS / total`,
 //! equals that run's `performance()` bit for bit.
 //!
-//! The search is branch and bound. A job's time is its slowest rank plus
-//! communication, so one rank slower than the best candidate so far proves
-//! that a candidate loses. Each candidate is timed with the incumbent's own
-//! wall time as the bound and dropped at the first rank that reaches it.
-//! That is exact: a dropped candidate's time is at least the incumbent's,
+//! The search is branch and bound, on two levels. A job's time is its
+//! slowest rank plus communication, so one rank slower than the best
+//! candidate so far proves that a candidate loses.
+//!
+//! - **Groups, by their relaxation.** The grid's six DRAM shares of one
+//!   (node count, threads, affinity) point form a group: the same
+//!   participants, threads, affinity and per-rank workload, under
+//!   different caps. Before timing a group's members, a lane times the
+//!   group's first rank once, under the largest CPU cap and the largest
+//!   DRAM cap that any member fitting the budget programs, and adds the
+//!   communication term ([`first_rank_time_below`]). When that reaches the
+//!   incumbent's wall time, the whole group is skipped. This is exact
+//!   because a rank's time never decreases when either cap shrinks
+//!   ([`simnode::Node::time_iteration`]), in rounded arithmetic too, so
+//!   every member's first rank is at least as slow as the relaxation's,
+//!   and its job at least as slow again.
+//! - **Candidates, by the incumbent.** Each fitting member of a group that
+//!   survives is timed with the incumbent's own wall time as the bound and
+//!   dropped at the first rank that reaches it.
+//!
+//! Both are exact: a dropped candidate's time is at least the incumbent's,
 //! so its score is at most the incumbent's, and the search keeps a
 //! candidate only when its score is strictly higher. Exact ties are dropped
 //! too, so the first-fastest candidate still wins.
 //!
-//! The search runs in place: the grid is dealt out in strided lanes, one
-//! per worker ([`cluster_sim::sweep::worker_count`]), so every lane sees
-//! every node count. A lane clones the cluster once, refills one scratch
-//! plan per candidate, and bounds its candidates by its own incumbent.
-//! Reusing the trial cluster is exact: every participant's caps are
-//! re-programmed before the candidate is timed, and timing writes nothing
-//! else. The winning plan is built once, at the end.
+//! The search runs in place: the grid's groups are dealt out in strided
+//! lanes, one per worker ([`cluster_sim::sweep::worker_count`]), so every
+//! lane sees every node count. A lane clones the cluster once, refills one
+//! scratch plan per candidate, and bounds its groups and candidates by its
+//! own incumbent. Reusing the trial cluster is exact: every participant's
+//! caps are re-programmed before a candidate is timed, and timing writes
+//! nothing else. The winning plan is built once, at the end.
 //!
 //! The Oracle is expensive by construction (hundreds of timed runs versus
 //! CLIP's three profile samples); the EXPERIMENTS.md gap table and the
@@ -33,7 +49,7 @@
 use clip_core::audit::BudgetLedger;
 use clip_core::{PowerScheduler, SchedulePlan};
 use cluster_sim::sweep::{parallel_map_with, worker_count};
-use cluster_sim::{job_time_below, Cluster, JobSpec};
+use cluster_sim::{first_rank_time_below, job_time_below, Cluster, JobSpec};
 use simkit::{Power, TimeSpan};
 use simnode::{AffinityPolicy, PowerCaps};
 use std::borrow::Cow;
@@ -59,24 +75,45 @@ struct Candidate {
     dram_share: f64,
 }
 
+/// What one search found, and how its group bounds fared.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Search {
+    /// Grid index of the fastest candidate whose caps fit the budget.
+    winner: Option<usize>,
+    /// Group relaxations timed.
+    bounds_timed: usize,
+    /// Groups skipped whole, because their relaxation reached the
+    /// incumbent's wall time.
+    groups_ruled_out: usize,
+}
+
 impl Candidate {
-    /// Refill `plan` with this candidate: the first `nodes` of `allowed`,
-    /// each capped at an equal share of `budget` split between DRAM and
-    /// CPU (each floored at 1 W, so tight budgets can overflow).
-    fn fill(&self, plan: &mut SchedulePlan, budget: Power, allowed: &[usize]) {
+    /// The caps this candidate programs on each of its nodes: an equal
+    /// share of `budget` split between DRAM and CPU (each floored at 1 W,
+    /// so tight budgets can overflow).
+    fn caps(&self, budget: Power) -> PowerCaps {
         let per_node = budget / self.nodes as f64;
         let dram = (per_node.as_watts() * self.dram_share).max(1.0);
         let cpu = (per_node.as_watts() - dram).max(1.0);
+        PowerCaps::new(Power::watts(cpu), Power::watts(dram))
+    }
+
+    /// Refill `plan` with this candidate: the first `nodes` of `allowed`,
+    /// each capped at [`Candidate::caps`].
+    fn fill(&self, plan: &mut SchedulePlan, budget: Power, allowed: &[usize]) {
         plan.node_ids.clear();
         plan.node_ids
             .extend(allowed.iter().copied().take(self.nodes));
         plan.threads_per_node = self.threads;
         plan.policy = self.policy;
         plan.caps.clear();
-        plan.caps.resize(
-            self.nodes,
-            PowerCaps::new(Power::watts(cpu), Power::watts(dram)),
-        );
+        plan.caps.resize(self.nodes, self.caps(budget));
+    }
+
+    /// True when `other` differs from this candidate in its DRAM share
+    /// only: the two are in the same group.
+    fn same_group(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.threads == other.threads && self.policy == other.policy
     }
 }
 
@@ -121,16 +158,32 @@ impl Oracle {
         out
     }
 
-    fn plan_of(candidate: &Candidate, budget: Power, allowed: &[usize]) -> SchedulePlan {
-        let mut plan = SchedulePlan {
+    /// An Oracle plan with room for `nodes` nodes, still to be filled.
+    fn empty_plan(nodes: usize) -> SchedulePlan {
+        SchedulePlan {
             scheduler: "Oracle".to_string(),
-            node_ids: Vec::with_capacity(candidate.nodes),
-            threads_per_node: candidate.threads,
-            policy: candidate.policy,
-            caps: Vec::with_capacity(candidate.nodes),
-        };
+            node_ids: Vec::with_capacity(nodes),
+            threads_per_node: 0,
+            policy: AffinityPolicy::Compact,
+            caps: Vec::with_capacity(nodes),
+        }
+    }
+
+    fn plan_of(candidate: &Candidate, budget: Power, allowed: &[usize]) -> SchedulePlan {
+        let mut plan = Self::empty_plan(candidate.nodes);
         candidate.fill(&mut plan, budget, allowed);
         plan
+    }
+
+    /// The job `plan` runs for one evaluation.
+    fn spec<'a>(app: &'a AppModel, plan: &'a SchedulePlan) -> JobSpec<'a> {
+        JobSpec {
+            app,
+            node_ids: Cow::Borrowed(&plan.node_ids),
+            threads_per_node: plan.threads_per_node,
+            policy: plan.policy,
+            iterations: EVAL_ITERATIONS,
+        }
     }
 
     /// Program `plan`'s caps on `trial` and time an `EVAL_ITERATIONS` run
@@ -144,23 +197,39 @@ impl Oracle {
         for (&id, &caps) in plan.node_ids.iter().zip(&plan.caps) {
             trial.node_mut(id).set_caps(caps);
         }
-        let spec = JobSpec {
-            app,
-            node_ids: Cow::Borrowed(&plan.node_ids),
-            threads_per_node: plan.threads_per_node,
-            policy: plan.policy,
-            iterations: EVAL_ITERATIONS,
-        };
-        job_time_below(trial, &spec, bound)
+        job_time_below(trial, &Self::spec(app, plan), bound)
     }
 
-    /// Index of the fastest candidate whose caps fit `budget`, searched
-    /// over `lanes` strided lanes; `None` when no candidate fits. Each lane
-    /// keeps the largest performance under `total_cmp` with ties to the
-    /// lower index, and so does the merge, so the choice is the sequential
-    /// first-fastest at any lane count. A lane times each candidate only
-    /// until it is proven no faster than the lane's incumbent, whose wall
-    /// time is the bound.
+    /// Program `caps` on `plan`'s first participant and time that rank of
+    /// `plan`'s job plus communication ([`first_rank_time_below`]): `None`
+    /// proves that every plan with `plan`'s nodes, threads and policy, and
+    /// caps at most `caps`, times at or above `bound`.
+    fn relaxation_below(
+        trial: &mut Cluster,
+        app: &AppModel,
+        plan: &SchedulePlan,
+        caps: PowerCaps,
+        bound: TimeSpan,
+    ) -> Option<TimeSpan> {
+        if let Some(&first) = plan.node_ids.first() {
+            trial.node_mut(first).set_caps(caps);
+        }
+        first_rank_time_below(trial, &Self::spec(app, plan), bound)
+    }
+
+    /// The fastest candidate whose caps fit `budget`, searched over
+    /// `lanes` lanes that deal out the grid's groups (runs of candidates
+    /// that differ only in DRAM share) by group index; no winner when no
+    /// candidate fits. Each lane keeps the largest performance under
+    /// `total_cmp` with ties to the lower index, and so does the merge, so
+    /// the winner is the sequential first-fastest at any lane count.
+    ///
+    /// Once a lane has an incumbent, it times a group's relaxation first:
+    /// the group's first rank under the largest CPU and DRAM caps any
+    /// fitting member programs. When that reaches the incumbent's wall
+    /// time, no member can beat it and the group is skipped. Otherwise
+    /// each fitting member is timed only until it is proven no faster than
+    /// the incumbent.
     fn search(
         cluster: &Cluster,
         app: &AppModel,
@@ -168,38 +237,75 @@ impl Oracle {
         allowed: &[usize],
         candidates: &[Candidate],
         lanes: usize,
-    ) -> Option<usize> {
-        let lane_best = parallel_map_with((0..lanes).collect(), Some(lanes), |lane| {
+    ) -> Search {
+        let lanes_found = parallel_map_with((0..lanes).collect(), Some(lanes), |lane| {
             // The incumbent: its performance, grid index and wall time.
             let mut best: Option<(f64, usize, TimeSpan)> = None;
-            let Some(first) = candidates.get(lane) else {
-                return best;
-            };
-            let mut trial = cluster.clone();
-            let mut plan = Self::plan_of(first, budget, allowed);
-            for (idx, cand) in candidates.iter().enumerate().skip(lane).step_by(lanes) {
-                cand.fill(&mut plan, budget, allowed);
-                if !plan.within_budget(budget) {
+            let (mut bounds_timed, mut groups_ruled_out) = (0, 0);
+            // The lane's trial cluster and scratch plan, made for its
+            // first group.
+            let mut scratch: Option<(Cluster, SchedulePlan)> = None;
+            let mut start = 0;
+            for (group_idx, group) in candidates.chunk_by(Candidate::same_group).enumerate() {
+                let first_idx = start;
+                start += group.len();
+                if group_idx % lanes != lane {
                     continue;
                 }
-                // The incumbent's own wall time: re-deriving it from the
-                // performance would not round-trip.
-                let bound = best.map_or(TimeSpan::secs(f64::INFINITY), |(_, _, total)| total);
-                let Some(total) = Self::time_below(&mut trial, app, &plan, bound) else {
+                let (trial, plan) = scratch
+                    .get_or_insert_with(|| (cluster.clone(), Self::empty_plan(allowed.len())));
+                // The relaxation: the componentwise largest caps of the
+                // members that fit.
+                let mut relaxed: Option<PowerCaps> = None;
+                for cand in group {
+                    cand.fill(plan, budget, allowed);
+                    if plan.within_budget(budget) {
+                        let caps = cand.caps(budget);
+                        relaxed = Some(relaxed.map_or(caps, |r| {
+                            PowerCaps::new(r.cpu.max(caps.cpu), r.dram.max(caps.dram))
+                        }));
+                    }
+                }
+                let Some(relaxed) = relaxed else {
                     continue;
                 };
-                let perf = EVAL_ITERATIONS as f64 / total.as_secs();
-                if best.is_none_or(|(b, _, _)| perf.total_cmp(&b).is_gt()) {
-                    best = Some((perf, idx, total));
+                if let Some((_, _, incumbent)) = best {
+                    // The plan holds the group's last member, whose nodes,
+                    // threads and policy every member shares.
+                    bounds_timed += 1;
+                    if Self::relaxation_below(trial, app, plan, relaxed, incumbent).is_none() {
+                        groups_ruled_out += 1;
+                        continue;
+                    }
+                }
+                for (idx, cand) in (first_idx..).zip(group) {
+                    cand.fill(plan, budget, allowed);
+                    if !plan.within_budget(budget) {
+                        continue;
+                    }
+                    // The incumbent's own wall time: re-deriving it from
+                    // the performance would not round-trip.
+                    let bound = best.map_or(TimeSpan::secs(f64::INFINITY), |(_, _, total)| total);
+                    let Some(total) = Self::time_below(trial, app, plan, bound) else {
+                        continue;
+                    };
+                    let perf = EVAL_ITERATIONS as f64 / total.as_secs();
+                    if best.is_none_or(|(b, _, _)| perf.total_cmp(&b).is_gt()) {
+                        best = Some((perf, idx, total));
+                    }
                 }
             }
-            best
+            (best, bounds_timed, groups_ruled_out)
         });
-        lane_best
-            .into_iter()
-            .flatten()
-            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
-            .map(|(_, idx, _)| idx)
+        Search {
+            winner: lanes_found
+                .iter()
+                .filter_map(|&(best, _, _)| best)
+                .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
+                .map(|(_, idx, _)| idx),
+            bounds_timed: lanes_found.iter().map(|&(_, timed, _)| timed).sum(),
+            groups_ruled_out: lanes_found.iter().map(|&(_, _, ruled_out)| ruled_out).sum(),
+        }
     }
 }
 
@@ -222,8 +328,9 @@ impl PowerScheduler for Oracle {
     ) -> SchedulePlan {
         assert!(!allowed.is_empty(), "no nodes available");
         let candidates = self.candidates(cluster, app, allowed);
-        let lanes = worker_count(None, candidates.len());
-        let best = Self::search(cluster, app, budget, allowed, &candidates, lanes);
+        let groups = candidates.chunk_by(Candidate::same_group).count();
+        let lanes = worker_count(None, groups);
+        let best = Self::search(cluster, app, budget, allowed, &candidates, lanes).winner;
         // The grid is non-empty by construction (>= 1 node count, thread
         // count, policy and DRAM share each), but below 2 W per node no
         // candidate fits: fall back to one all-core node.
@@ -424,6 +531,7 @@ mod tests {
             let reference = clone_per_candidate(cluster, app, budget, allowed, grid);
             for &lanes in lane_counts {
                 let found = Oracle::search(cluster, app, budget, allowed, grid, lanes)
+                    .winner
                     .map(|idx| Oracle::plan_of(&grid[idx], budget, allowed));
                 assert_eq!(
                     found,
@@ -508,10 +616,71 @@ mod tests {
         }
         for lanes in [1, 2, 3] {
             assert_eq!(
-                Oracle::search(&cluster, &app, budget, &all, &candidates, lanes),
+                Oracle::search(&cluster, &app, budget, &all, &candidates, lanes).winner,
                 Some(winner),
                 "{lanes} lanes"
             );
+        }
+    }
+
+    /// The paper grid's Oracle calls: every Table II app at the
+    /// `summary_claims` budgets on the seed-2017 testbed. In each call the
+    /// relaxation rules out at least one group, and the plan is still the
+    /// reference's.
+    #[test]
+    fn group_bounds_rule_out_groups_on_the_paper_grid() {
+        let cluster = Cluster::paper_testbed(2017);
+        let all: Vec<usize> = (0..cluster.len()).collect();
+        for entry in suite::table2_suite() {
+            let app = &entry.app;
+            let candidates = Oracle::default().candidates(&cluster, app, &all);
+            for watts in [900.0, 1200.0, 1600.0, 2000.0] {
+                let budget = Power::watts(watts);
+                let found = Oracle::search(&cluster, app, budget, &all, &candidates, 1);
+                assert!(
+                    found.groups_ruled_out >= 1,
+                    "{} at {watts} W: {found:?}",
+                    app.name()
+                );
+                assert_eq!(
+                    found
+                        .winner
+                        .map(|idx| Oracle::plan_of(&candidates[idx], budget, &all)),
+                    clone_per_candidate(&cluster, app, budget, &all, &candidates),
+                    "{} at {watts} W",
+                    app.name()
+                );
+            }
+        }
+    }
+
+    /// Below 2 W per node the wide groups fit no member, and a group with
+    /// no fitting member times no bound: a lane times one relaxation per
+    /// fitting group after its first. (That the plan is the reference's at
+    /// this budget is checked in `in_place_search_matches_clone_per_candidate`.)
+    #[test]
+    fn a_group_with_no_fitting_member_times_no_bound() {
+        let cluster = Cluster::paper_testbed(2017);
+        let all: Vec<usize> = (0..cluster.len()).collect();
+        let app = suite::amg();
+        let budget = Power::watts(12.0);
+        let candidates = Oracle::default().candidates(&cluster, &app, &all);
+        let fits: Vec<bool> = candidates
+            .chunk_by(Candidate::same_group)
+            .map(|group| {
+                group
+                    .iter()
+                    .any(|c| Oracle::plan_of(c, budget, &all).within_budget(budget))
+            })
+            .collect();
+        assert!(fits.contains(&true) && fits.contains(&false), "{fits:?}");
+        for lanes in [1, 2, 3] {
+            let fitting_lanes = (0..lanes)
+                .filter(|&lane| fits.iter().skip(lane).step_by(lanes).any(|&f| f))
+                .count();
+            let found = Oracle::search(&cluster, &app, budget, &all, &candidates, lanes);
+            let fitting = fits.iter().filter(|&&f| f).count();
+            assert_eq!(found.bounds_timed, fitting - fitting_lanes, "{lanes} lanes");
         }
     }
 }

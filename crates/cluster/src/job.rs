@@ -195,10 +195,41 @@ pub fn job_time(cluster: &Cluster, spec: &JobSpec<'_>) -> TimeSpan {
 /// and finite iteration time.
 pub fn job_time_below(cluster: &Cluster, spec: &JobSpec<'_>, bound: TimeSpan) -> Option<TimeSpan> {
     check_spec(cluster, spec);
+    ranks_time_below(cluster, spec, &spec.node_ids, bound)
+}
+
+/// The first rank's busy time plus the communication term if that is
+/// below `bound`, else `None`: [`job_time_below`] stopped after its first
+/// rank, so `None` here gives `None` there at the same bound.
+///
+/// One timing can bound several jobs. A rank's time never decreases when
+/// a cap shrinks ([`simnode::Node::time_iteration`]), so with the first
+/// participant capped at the componentwise maximum of several jobs' caps,
+/// `None` proves that [`job_time_below`] returns `None` for every one of
+/// them that shares this spec. Runs [`run_job`]'s spec checks first.
+pub fn first_rank_time_below(
+    cluster: &Cluster,
+    spec: &JobSpec<'_>,
+    bound: TimeSpan,
+) -> Option<TimeSpan> {
+    check_spec(cluster, spec);
+    let first = spec.node_ids.get(..1).unwrap_or_default();
+    ranks_time_below(cluster, spec, first, bound)
+}
+
+/// The slowest busy time among `ranks`, participants of `spec`, plus the
+/// communication term, if that is below `bound`; `None` as soon as a rank
+/// proves it is not.
+fn ranks_time_below(
+    cluster: &Cluster,
+    spec: &JobSpec<'_>,
+    ranks: &[usize],
+    bound: TimeSpan,
+) -> Option<TimeSpan> {
     let rank = spec.app.per_rank(spec.node_ids.len());
     let (_, comm_total) = communication(spec);
     let mut busy_max = TimeSpan::ZERO;
-    for &id in spec.node_ids.iter() {
+    for &id in ranks {
         let (_, iter_time) =
             cluster
                 .node(id)
@@ -633,7 +664,9 @@ mod tests {
     }
 
     /// `job_time_below` at bounds around and far from the job's time `T`:
-    /// `Some` exactly when `T < bound`, with `job_time`'s bits.
+    /// `Some` exactly when `T < bound`, with `job_time`'s bits. And
+    /// `first_rank_time_below` likewise around the first rank's busy time
+    /// plus the report's communication term, which is at most `T`.
     fn assert_bounded_time_agrees(
         cluster: &Cluster,
         spec: &JobSpec<'_>,
@@ -641,13 +674,17 @@ mod tests {
         case: &str,
     ) {
         let total = report.total_time.as_secs();
-        let first_rank = report.per_node[0].report.total_time.as_secs();
+        let first_rank = report.per_node[0].report.total_time;
+        let lead = (first_rank + report.comm_time * spec.iterations as f64).as_secs();
+        assert!(lead <= total, "{case}: first rank {lead:e} over {total:e}");
         for bound in [
             f64::INFINITY,
             total.next_up(),
             total,
             total.next_down(),
-            first_rank,
+            first_rank.as_secs(),
+            lead.next_up(),
+            lead,
             0.0,
         ] {
             let below = job_time_below(cluster, spec, TimeSpan::secs(bound));
@@ -655,6 +692,12 @@ mod tests {
                 below.map(|t| t.as_secs().to_bits()),
                 (total < bound).then_some(total.to_bits()),
                 "{case}, bound {bound:e}"
+            );
+            let first = first_rank_time_below(cluster, spec, TimeSpan::secs(bound));
+            assert_eq!(
+                first.map(|t| t.as_secs().to_bits()),
+                (lead < bound).then_some(lead.to_bits()),
+                "{case}, first rank, bound {bound:e}"
             );
         }
     }
@@ -739,10 +782,13 @@ mod tests {
             let timed = std::panic::catch_unwind(|| job_time(&cluster, &spec));
             let bounded =
                 std::panic::catch_unwind(|| job_time_below(&cluster, &spec, TimeSpan::ZERO));
+            let first =
+                std::panic::catch_unwind(|| first_rank_time_below(&cluster, &spec, TimeSpan::ZERO));
             let run = std::panic::catch_unwind(|| run_job(&mut cluster.clone(), &spec));
             for (what, outcome) in [
                 ("job_time", timed.map(|_| ())),
                 ("job_time_below", bounded.map(|_| ())),
+                ("first_rank_time_below", first.map(|_| ())),
                 ("run_job", run.map(|_| ())),
             ] {
                 let msg = outcome.err().map(panic_message);

@@ -14,7 +14,8 @@
 //!   on the slowest, add the communication term, account power including
 //!   barrier-wait idling; [`job_time`] is the same job's wall time alone,
 //!   and [`job_time_below`] stops timing ranks once that time is proven
-//!   to reach a bound. A [`JobMemo`] replays a job that repeats the last
+//!   to reach a bound ([`first_rank_time_below`] times only the first).
+//!   A [`JobMemo`] replays a job that repeats the last
 //!   one instead of simulating its ranks again.
 //! - [`sweep`]: a small fork-join helper for parallel configuration sweeps
 //!   (used by the exhaustive Oracle baseline and the figure harnesses).
@@ -35,6 +36,9 @@ pub mod variability;
 
 pub use faults::{apply_event, FaultEvent, FaultImpact, FaultKind, FaultPlan};
 pub use fleet::Cluster;
-pub use job::{job_time, job_time_below, run_job, JobMemo, JobReport, JobSpec, NodeOutcome};
+pub use job::{
+    first_rank_time_below, job_time, job_time_below, run_job, JobMemo, JobReport, JobSpec,
+    NodeOutcome,
+};
 pub use shard::{split_faults, RackTopology, ShardedFleet};
 pub use variability::VariabilityModel;

@@ -10,7 +10,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Map `f` over `items` in parallel, preserving order. Falls back to a
 /// sequential loop for small inputs, where spawning would dominate, and
@@ -37,9 +37,15 @@ where
 /// inputs and otherwise uses one worker per CPU the process may run on.
 /// Either way the count is clamped to `1..=items`, and 1 means the
 /// calling thread does all the work: no thread is spawned.
+///
+/// The CPU count is read once per process, on the first `None` that
+/// needs it, and kept: reading it can mean parsing the cgroup quota from
+/// files, which costs more than a small sweep. A process that changes its
+/// CPU affinity should do so before its first sweep.
 pub fn worker_count(workers: Option<usize>, items: usize) -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
     resolve_workers(workers, items, || {
-        std::thread::available_parallelism().map_or(4, usize::from)
+        *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(4, usize::from))
     })
 }
 

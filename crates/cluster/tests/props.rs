@@ -245,6 +245,47 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A rank's iteration time never decreases when a cap shrinks: under
+    /// caps at most another set's in each component, `time_iteration`
+    /// reads at least as long, compared as `f64`. Every Table II app,
+    /// strong-scaled, on nodes with efficiency and actuation error, at
+    /// caps low enough to duty-cycle the cores and to cut DRAM below its
+    /// base power. The Oracle's group bound rests on this.
+    #[test]
+    fn iteration_time_never_falls_as_a_cap_shrinks(
+        app_pick in 0usize..10,
+        ranks in 1usize..=8,
+        threads in 1usize..=24,
+        policy in policy_strategy(),
+        efficiency in 0.9f64..1.1,
+        jitter in -0.1f64..0.1,
+        cpu in 1.0f64..300.0,
+        dram in 1.0f64..60.0,
+        cpu_step in prop_oneof![Just(0.0), 0.0f64..1.0, 0.0f64..300.0],
+        dram_step in prop_oneof![Just(0.0), 0.0f64..1.0, 0.0f64..60.0],
+    ) {
+        let suite = workload::table2_suite();
+        let app = &suite[app_pick % suite.len()].app;
+        let rank = app.per_rank(ranks);
+        let mut node = simnode::Node::haswell_with_efficiency(efficiency);
+        node.set_cap_jitter(jitter);
+        let mut time_under = |cpu: f64, dram: f64| {
+            node.set_caps(PowerCaps::new(Power::watts(cpu), Power::watts(dram)));
+            node.time_iteration(&rank, threads, policy).1.as_secs()
+        };
+        let tight = time_under(cpu, dram);
+        let loose = time_under(cpu + cpu_step, dram + dram_step);
+        prop_assert!(
+            tight >= loose,
+            "{} x{ranks}: {tight:e} s under ({cpu}, {dram}) W, {loose:e} s with {cpu_step}/{dram_step} W more",
+            app.name()
+        );
+    }
+}
+
 /// One shared predictor for the ledger properties (training dominates).
 fn predictor() -> &'static clip_core::InflectionPredictor {
     use std::sync::OnceLock;

@@ -57,6 +57,8 @@ impl MemorySubsystem {
     ///
     /// `power_ceiling` is the node-wide limit implied by the DRAM power cap;
     /// `remote_frac` is the placement/application remote-access fraction.
+    /// Never decreases as `power_ceiling` grows: a min, a scale by a factor
+    /// in `[0, 1]` and a max all keep the order under rounding.
     pub fn effective_ceiling(
         &self,
         placement: &Placement,

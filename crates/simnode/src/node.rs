@@ -333,6 +333,15 @@ impl Node {
     /// The timing half of [`Node::execute`]: the operating point under the
     /// programmed caps and the workload's wall time per iteration there.
     /// Reads no power and leaves the RAPL counters untouched.
+    ///
+    /// The time never decreases when either cap shrinks, in rounded `f64`
+    /// arithmetic: the CPU cap can only lower the resolved speed
+    /// ([`PowerModel::max_speed_under_cap`]), the DRAM cap only the
+    /// bandwidth ceiling ([`PowerModel::bw_ceiling`],
+    /// [`MemorySubsystem::effective_ceiling`]), and each phase's time is
+    /// non-increasing in both. The actuation error scales the CPU cap by a
+    /// positive factor, which keeps the order. The Oracle's group bound
+    /// relies on this; a property test pins it.
     pub fn time_iteration<W: NodeWorkload + ?Sized>(
         &self,
         workload: &W,

@@ -142,7 +142,9 @@ impl PowerModel {
     ///
     /// Inverts the load-power line; below the base-power floor the memory
     /// still answers (you cannot cap refresh power away) but at a crawl,
-    /// which we model as 2% of peak.
+    /// which we model as 2% of peak. Never decreases as `dram_cap` grows:
+    /// the result is a clamp of `(cap − base) / load`, and every step is
+    /// monotone under rounding.
     pub fn bw_ceiling(&self, dram_cap: Power, sockets: usize) -> Bandwidth {
         let peak = self.peak_bw_per_socket * sockets as f64;
         let base = self.dram_base * sockets as f64 * self.efficiency;
@@ -158,6 +160,11 @@ impl PowerModel {
     /// Resolve the fastest speed whose package power fits `cpu_cap`, walking
     /// the P-state ladder from the top and falling back to duty-cycling at
     /// `f_min` (T-states) when even that is too hot.
+    ///
+    /// The effective frequency never decreases as `cpu_cap` grows: a larger
+    /// cap admits every state a smaller one does, the duty cycle is a clamp
+    /// of `(cap − static) / dyn`, and any P-state is at least `f_min`, the
+    /// fastest a duty-cycled core runs.
     pub fn max_speed_under_cap(
         &self,
         pstates: &PStateTable,

@@ -135,7 +135,7 @@ CEILINGS = {
     "fleet": (13.39, 223.27),
     "service": (5.07, 12.55),
     "service_traced": (5.46, 19.16),
-    "paper_grid": (14.40, 37.40),
+    "paper_grid": (12.80, 35.80),
 }
 bench = json.load(open("BENCHMARK.json"))
 for workload in bench["workloads"]:
