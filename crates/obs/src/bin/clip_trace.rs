@@ -27,7 +27,13 @@
 //! byte-for-byte what that sink would have written — existing JSONL
 //! tooling and golden FNV pins keep working against exported traces.
 //!
-//! Exits 0 on success, 2 on usage, I/O or parse errors.
+//! A binary trace cut short or corrupted part-way still reports: every
+//! command runs on the records before the first frame that fails to
+//! decode, prints `N byte(s) after record K not decoded: <error>` to
+//! stderr, and exits 2.
+//!
+//! Exits 0 on success, 2 on usage, I/O or parse errors, or a trace that
+//! did not decode whole.
 
 use clip_obs::{wire, TraceEvent, TraceRecord};
 use simkit::table::Table;
@@ -123,9 +129,13 @@ struct PoolRow {
     granted: Power,
 }
 
-fn load(path: &str) -> Result<Vec<TraceRecord>, String> {
+/// Load a trace's records, and whether it decoded whole. A binary trace
+/// that ends in bytes which do not decode (a run cut off mid-flush, a
+/// corrupt frame) yields the records before them; the loss is reported on
+/// stderr and the command still runs on that prefix.
+fn load(path: &str) -> Result<(Vec<TraceRecord>, bool), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let records = if wire::is_binary_trace(&bytes) {
+    let (records, loss) = if wire::is_binary_trace(&bytes) {
         wire::decode_stream(&bytes).map_err(|e| format!("{path}: {e}"))?
     } else {
         let text = String::from_utf8(bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -138,12 +148,20 @@ fn load(path: &str) -> Result<Vec<TraceRecord>, String> {
                 serde_json::from_str(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
             records.push(rec);
         }
-        records
+        (records, None)
     };
+    if let Some(loss) = &loss {
+        eprintln!(
+            "clip-trace: {path}: {} byte(s) after record {} not decoded: {}",
+            loss.bytes,
+            records.len(),
+            loss.error
+        );
+    }
     if records.is_empty() {
         return Err(format!("{path}: no trace records"));
     }
-    Ok(records)
+    Ok((records, loss.is_none()))
 }
 
 /// Slice a record stream into runs at `RunStarted` boundaries. Records
@@ -611,14 +629,15 @@ fn summarize_metrics(runs: &[Run]) {
     }
 }
 
-fn cmd_summary(path: &str) -> Result<(), String> {
-    let runs = split_runs(load(path)?);
+fn cmd_summary(path: &str) -> Result<bool, String> {
+    let (records, whole) = load(path)?;
+    let runs = split_runs(records);
     println!("trace: {path} ({} run(s))\n", runs.len());
     for run in &runs {
         summarize_run(run);
     }
     summarize_metrics(&runs);
-    Ok(())
+    Ok(whole)
 }
 
 fn diff_runs(a: &Run, b: &Run) {
@@ -737,9 +756,11 @@ fn diff_runs(a: &Run, b: &Run) {
     println!();
 }
 
-fn cmd_diff(path_a: &str, path_b: &str) -> Result<(), String> {
-    let runs_a = split_runs(load(path_a)?);
-    let runs_b = split_runs(load(path_b)?);
+fn cmd_diff(path_a: &str, path_b: &str) -> Result<bool, String> {
+    let (records_a, whole_a) = load(path_a)?;
+    let (records_b, whole_b) = load(path_b)?;
+    let runs_a = split_runs(records_a);
+    let runs_b = split_runs(records_b);
     println!(
         "diff: {path_a} ({} run(s)) vs {path_b} ({} run(s))\n",
         runs_a.len(),
@@ -756,13 +777,13 @@ fn cmd_diff(path_a: &str, path_b: &str) -> Result<(), String> {
             None => println!("run {} ({}) has no counterpart\n", i, a.scheduler),
         }
     }
-    Ok(())
+    Ok(whole_a && whole_b)
 }
 
 /// Re-serialize a trace (binary or JSONL) as JSONL, byte-for-byte what
 /// the old per-event JSONL sink produced for the same records.
-fn cmd_export(input: &str, output: &str) -> Result<(), String> {
-    let records = load(input)?;
+fn cmd_export(input: &str, output: &str) -> Result<bool, String> {
+    let (records, whole) = load(input)?;
     let mut out = String::new();
     let mut line = String::new();
     for rec in &records {
@@ -772,10 +793,12 @@ fn cmd_export(input: &str, output: &str) -> Result<(), String> {
     }
     std::fs::write(output, &out).map_err(|e| format!("{output}: {e}"))?;
     println!("exported {} record(s) to {output}", records.len());
-    Ok(())
+    Ok(whole)
 }
 
-fn run() -> Result<(), String> {
+/// Run the command line; `Ok(false)` when it ran on a trace that did not
+/// decode whole.
+fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         [cmd, path] if cmd == "summary" => cmd_summary(path),
@@ -791,7 +814,8 @@ fn run() -> Result<(), String> {
 
 fn main() -> ExitCode {
     match run() {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(2),
         Err(msg) => {
             eprintln!("clip-trace: {msg}");
             ExitCode::from(2)

@@ -15,10 +15,12 @@
 //! - [`event`]: a structured [`TraceEvent`] for every scheduler decision
 //!   point — coordinate, allocate, per-node plan, fault application,
 //!   re-coordination, RAPL/DVFS actuation — stamped with the sim clock,
-//!   never wall time.
+//!   never wall time. Each variant is one row of a table that also gives
+//!   its wire tag and its [`EventClass`].
 //! - [`wire`]: the binary frame codec — varint-length-prefixed,
 //!   FNV-checksummed, schema-versioned frames encoding each record once
-//!   into a reused buffer, with total (panic-free) decoding.
+//!   into a reused buffer, with total (panic-free) decoding that keeps
+//!   every whole frame before a damaged one.
 //! - [`sink`]: pluggable batch-oriented [`TraceSink`]s fed encoded
 //!   frames: [`BinarySink`] (buffered file, bounded
 //!   flush-on-N-frames/K-bytes) and [`RingSink`] (in-memory flight

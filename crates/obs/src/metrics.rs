@@ -9,6 +9,7 @@
 //! never reallocates or rebalances, so the memory profile of a long run is
 //! flat and the serialized shape never depends on the data.
 
+use crate::wire::{Cursor, Wire, WireError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -145,30 +146,29 @@ impl Histogram {
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
+}
 
-    /// The raw running maximum, `NEG_INFINITY` when empty — the wire
-    /// codec needs the exact field value so a decoded histogram compares
-    /// equal to the original.
-    pub(crate) fn raw_max(&self) -> f64 {
-        self.max
+/// The raw fields in declaration order, the running maximum included
+/// (`NEG_INFINITY` when empty), so a decoded histogram compares equal to
+/// the original. Decoding does not re-validate the bounds: the codec
+/// round-trips whatever was encoded.
+impl Wire for Histogram {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.bounds.put(out);
+        self.counts.put(out);
+        self.sum.put(out);
+        self.count.put(out);
+        self.max.put(out);
     }
 
-    /// Reassemble a histogram from its wire-decoded raw fields without
-    /// re-validating bounds: the codec round-trips whatever was encoded.
-    pub(crate) fn from_raw_parts(
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
-        sum: f64,
-        count: u64,
-        max: f64,
-    ) -> Self {
-        Self {
-            bounds,
-            counts,
-            sum,
-            count,
-            max,
-        }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            bounds: Wire::get(cur)?,
+            counts: Wire::get(cur)?,
+            sum: Wire::get(cur)?,
+            count: Wire::get(cur)?,
+            max: Wire::get(cur)?,
+        })
     }
 }
 
@@ -259,12 +259,6 @@ impl MetricRegistry {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Insert a wire-decoded histogram verbatim (no default-bucket
-    /// fallback, no bound validation).
-    pub(crate) fn insert_histogram_raw(&mut self, name: String, h: Histogram) {
-        self.histograms.insert(name, h);
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
@@ -306,6 +300,23 @@ impl MetricRegistry {
             let _ = writeln!(out, "{name}_count {count}", count = hist.count);
         }
         out
+    }
+}
+
+/// Counters, gauges, then histograms, each family in name order.
+impl Wire for MetricRegistry {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.counters.put(out);
+        self.gauges.put(out);
+        self.histograms.put(out);
+    }
+
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            counters: Wire::get(cur)?,
+            gauges: Wire::get(cur)?,
+            histograms: Wire::get(cur)?,
+        })
     }
 }
 

@@ -318,9 +318,9 @@ mod tests {
         sink.close().expect("close");
         let bytes = std::fs::read(&path).expect("read back");
         assert!(wire::is_binary_trace(&bytes));
-        let records = wire::decode_stream(&bytes).expect("decode");
+        let (records, loss) = wire::decode_stream(&bytes).expect("decode");
         let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        assert_eq!((seqs, loss), (vec![0, 1, 2, 3, 4], None));
         std::fs::remove_file(&path).ok();
     }
 

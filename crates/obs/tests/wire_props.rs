@@ -8,9 +8,10 @@
 //! `wire.rs` (including the empty-histogram `NEG_INFINITY` max); the
 //! random strategies here cover every other variant.
 
+use clip_obs::wire::Loss;
 use clip_obs::{
     wire, ActuationTag, FaultTag, ImpactTag, RejectTag, RingSink, TraceEvent, TraceRecord,
-    TraceSink,
+    TraceSink, WireError,
 };
 use proptest::prelude::*;
 use simkit::{Frequency, Power, TimeSpan};
@@ -335,8 +336,69 @@ proptest! {
             stream.extend_from_slice(&frame);
             ring.write_frame(&frame);
         }
-        let decoded = wire::decode_stream(&stream).expect("stream decodes");
+        let (decoded, loss) = wire::decode_stream(&stream).expect("stream decodes");
+        prop_assert_eq!(loss, None);
         prop_assert_eq!(&decoded, &records);
         prop_assert_eq!(&ring.records(), &records);
     }
+
+    /// A stream cut at any byte past its header decodes to exactly the
+    /// frames that lie wholly before the cut, and reports the bytes after
+    /// them as lost to truncation. A cut inside the header stays an error.
+    #[test]
+    fn a_cut_stream_keeps_every_whole_frame(
+        records in proptest::collection::vec(record_strategy(), 1..5),
+    ) {
+        let (stream, lens) = stream_of(&records);
+        let header = stream.len() - lens.iter().sum::<usize>();
+        for cut in 0..header {
+            prop_assert!(wire::decode_stream(&stream[..cut]).is_err(), "header cut at {cut}");
+        }
+        let mut end = header;
+        let mut whole = 0;
+        for cut in header..=stream.len() {
+            while lens.get(whole).is_some_and(|len| end + len <= cut) {
+                end += lens[whole];
+                whole += 1;
+            }
+            let (decoded, loss) = wire::decode_stream(&stream[..cut]).expect("header intact");
+            prop_assert_eq!(&decoded, &records[..whole], "cut at {}", cut);
+            let lost = (cut > end).then_some(Loss { error: WireError::Truncated, bytes: cut - end });
+            prop_assert_eq!(loss, lost, "cut at {}", cut);
+        }
+    }
+
+    /// A frame whose checksum no longer matches stops decoding: the frames
+    /// before it survive, and everything from it on is reported lost.
+    #[test]
+    fn a_corrupt_frame_keeps_the_prefix_before_it(
+        records in proptest::collection::vec(record_strategy(), 1..6),
+        pick in any::<usize>(),
+    ) {
+        let (mut stream, lens) = stream_of(&records);
+        let bad = pick % records.len();
+        let start = stream.len() - lens[bad..].iter().sum::<usize>();
+        // The checksum is the frame's last four bytes.
+        let checksum = start + lens[bad] - 1;
+        stream[checksum] ^= 0x01;
+        let (decoded, loss) = wire::decode_stream(&stream).expect("header intact");
+        prop_assert_eq!(&decoded, &records[..bad]);
+        let loss = loss.expect("the corrupt frame is reported");
+        prop_assert!(matches!(loss.error, WireError::BadChecksum { .. }), "{:?}", loss.error);
+        prop_assert_eq!(loss.bytes, stream.len() - start);
+    }
+}
+
+/// A headered stream of `records`, one frame each, and each frame's
+/// length in bytes.
+fn stream_of(records: &[TraceRecord]) -> (Vec<u8>, Vec<usize>) {
+    let mut stream = Vec::new();
+    wire::write_stream_header(&mut stream);
+    let mut lens = Vec::new();
+    for record in records {
+        let frame = wire::encode_frame(record);
+        lens.push(frame.len());
+        stream.extend_from_slice(&frame);
+    }
+    (stream, lens)
 }

@@ -257,7 +257,8 @@ echo "    trace ok: untraced ${plain_ms} ms, traced ${traced_ms} ms (limit ${lim
 # bit-identically across worker counts (FNV fingerprint), the golden SLO
 # line, and a traced run writing binary frames that clip-trace digests
 # natively, under the same 2x + 10 ms overhead bound as the quickstart
-# gate.
+# gate. The trace also goes through the export gate, and a copy cut off
+# mid-frame must still summarize.
 echo "==> service smoke (SLO attainment + replay across worker counts + trace)"
 cargo build --offline --quiet --release --example service -p clip-repro
 svc_seq="$(target/release/examples/service --smoke --threads 1 | grep 'report fnv')"
@@ -282,11 +283,42 @@ grep -q "per-tenant admission and SLO" <<< "$svc_summary" \
     || { echo "clip-trace summary did not parse the service trace" >&2; exit 1; }
 grep -q "pool scalings: 4" <<< "$svc_summary" \
     || { echo "clip-trace summary lost the autoscaling timeline" >&2; exit 1; }
+
+# The export gate again: the quickstart trace holds 9 of the event
+# variants, the service trace 16, the service lifecycle among them.
+svc_export="target/service-smoke.jsonl"
+rm -f "$svc_export"
+target/release/clip-trace export "$svc_trace" "$svc_export" > /dev/null
+svc_exported_summary="$(target/release/clip-trace summary "$svc_export")"
+if [ "$(tail -n +2 <<< "$svc_summary")" != "$(tail -n +2 <<< "$svc_exported_summary")" ]; then
+    echo "clip-trace summary differs between the service trace and its JSONL export" >&2
+    exit 1
+fi
+
+# Salvage gate: a trace that loses its last bytes (a run killed
+# mid-flush) still summarizes. clip-trace reports the whole frames before
+# the cut, which are the export minus its last line, names the undecoded
+# bytes on stderr, and exits 2.
+svc_records="$(wc -l < "$svc_export")"
+svc_cut="target/service-smoke-cut.trace"
+head -c -3 "$svc_trace" > "$svc_cut"
+head -n -1 "$svc_export" > target/service-smoke-prefix.jsonl
+prefix_summary="$(target/release/clip-trace summary target/service-smoke-prefix.jsonl)"
+cut_summary="$(target/release/clip-trace summary "$svc_cut" 2> target/service-smoke-cut.err)" \
+    && cut_status=0 || cut_status=$?
+loss_line="byte(s) after record $((svc_records - 1)) not decoded: truncated trace stream"
+if [ "$cut_status" -ne 2 ] \
+    || [ "$(tail -n +2 <<< "$cut_summary")" != "$(tail -n +2 <<< "$prefix_summary")" ] \
+    || ! grep -qF "$loss_line" target/service-smoke-cut.err; then
+    echo "clip-trace did not salvage the cut service trace (exit ${cut_status}):" >&2
+    cat target/service-smoke-cut.err >&2
+    exit 1
+fi
 svc_limit_ms=$((svc_plain_ms * 2 + 10))
 if [ "$svc_traced_ms" -gt "$svc_limit_ms" ]; then
     echo "service tracing overhead too high: traced ${svc_traced_ms} ms vs untraced ${svc_plain_ms} ms (limit ${svc_limit_ms} ms)" >&2
     exit 1
 fi
-echo "    service ok:${svc_seq#*:}, untraced ${svc_plain_ms} ms, traced ${svc_traced_ms} ms (limit ${svc_limit_ms} ms)"
+echo "    service ok:${svc_seq#*:}, untraced ${svc_plain_ms} ms, traced ${svc_traced_ms} ms (limit ${svc_limit_ms} ms), cut trace kept $((svc_records - 1)) of ${svc_records} records"
 
 echo "All checks passed."
