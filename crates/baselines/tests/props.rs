@@ -35,7 +35,7 @@ fn check_plan_legal(
     prop_assert!(plan.nodes() >= 1 && plan.nodes() <= 8);
     prop_assert!(plan.threads_per_node >= 1 && plan.threads_per_node <= 24);
     prop_assert_eq!(plan.caps.len(), plan.nodes());
-    let unique: std::collections::HashSet<_> = plan.node_ids.iter().collect();
+    let unique: std::collections::BTreeSet<_> = plan.node_ids.iter().collect();
     prop_assert_eq!(unique.len(), plan.nodes(), "duplicate node ids");
     let report = execute_plan(&mut cluster, app, &plan, 1, 0, &mut clip_obs::NoopRecorder);
     prop_assert!(report.performance() > 0.0 && report.performance().is_finite());

@@ -39,8 +39,9 @@ pub struct JobSpec<'a> {
     /// The (unscaled) application.
     pub app: &'a AppModel,
     /// Indices of the participating nodes. Borrowed in the engine's
-    /// per-epoch dispatch (the plan already owns the ids — hot-alloc);
-    /// owned when the caller builds an ad-hoc set.
+    /// per-epoch dispatch (the plan already owns the ids, and a copy
+    /// would allocate every epoch); owned when the caller builds an
+    /// ad-hoc set.
     pub node_ids: Cow<'a, [usize]>,
     /// OpenMP threads per node.
     pub threads_per_node: usize,

@@ -404,7 +404,7 @@ mod tests {
         ]);
         let report = dispatcher(1400.0).run(&mut cluster, &jobs, &mut clip_obs::NoopRecorder);
         assert_eq!(report.outcomes.len(), 4);
-        let names: std::collections::HashSet<&str> =
+        let names: std::collections::BTreeSet<&str> =
             report.outcomes.iter().map(|o| o.job.as_str()).collect();
         assert_eq!(names.len(), 4);
     }

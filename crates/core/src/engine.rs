@@ -380,10 +380,10 @@ impl RunState {
     /// Stage `epoch`'s app override, re-cloning only when the policy's
     /// choice differs from what is already staged: steady epochs inside
     /// one phase reuse the staged model (this `.cloned()` used to run
-    /// every epoch — the engine's top hot-alloc finding). Called before
-    /// the boundary (the recovery re-plan needs an app) and again after
-    /// it, so a boundary that switches the active job re-stages in the
-    /// same epoch.
+    /// every epoch, the engine's largest per-epoch allocation). Called
+    /// before the boundary (the recovery re-plan needs an app) and again
+    /// after it, so a boundary that switches the active job re-stages in
+    /// the same epoch.
     fn stage<R: Recorder, P: EpochPolicy<R> + ?Sized>(&mut self, policy: &P, epoch: usize) {
         match (policy.app_for_epoch(epoch), self.staged.as_ref()) {
             (Some(want), Some(cur)) if want == cur => {}

@@ -251,7 +251,7 @@ pub struct BudgetArbiter {
 }
 
 /// Reusable buffers for the arbiter's per-epoch work. `rebalance` runs
-/// every epoch on the sharded hot path (hot-alloc), so the donation /
+/// every epoch on the sharded hot path, so the donation /
 /// weight / share vectors and the audit snapshots are kept here and
 /// refilled with `clear()` + `resize`/`extend` instead of collected anew.
 #[derive(Debug, Clone, Default)]
@@ -746,8 +746,8 @@ where
     }
     let mut parts = split_parts(runs, worker_count(cfg.workers, topo.racks()));
 
-    // Per-epoch scratch, hoisted out of the epoch loop (hot-alloc):
-    // refilled with clear() + extend each phase instead of collected anew.
+    // Per-epoch scratch, hoisted out of the epoch loop: refilled with
+    // clear() + extend each phase instead of collected anew.
     let mut order: Vec<usize> = Vec::new();
     let mut demands: Vec<Power> = Vec::with_capacity(topo.racks());
     let mut alive: Vec<usize> = Vec::with_capacity(topo.racks());
@@ -967,7 +967,7 @@ fn apply_grants<R: Recorder, C: Recorder>(
 }
 
 /// A part's execute order for `epoch`, of its `n` racks, filled into the
-/// reused `order` buffer (hot-alloc — this runs every epoch): identity
+/// reused `order` buffer (this runs every epoch): identity
 /// unless a shuffle seed asks for a seeded permutation (distinct per
 /// epoch).
 fn submission_order(order: &mut Vec<usize>, n: usize, shuffle_seed: Option<u64>, epoch: usize) {

@@ -224,7 +224,7 @@ pub fn execute_concurrent<R: clip_obs::Recorder>(
     assert_eq!(jobs.len(), plans.len());
     // Verify disjointness — overlapping sets would share hardware, which
     // the simulator does not model.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for plan in plans {
         for &id in &plan.node_ids {
             assert!(seen.insert(id), "node {id} assigned to two jobs");
@@ -283,7 +283,7 @@ mod tests {
             assert!(p.nodes() >= 1);
             all_ids.extend(p.node_ids.clone());
         }
-        let unique: std::collections::HashSet<_> = all_ids.iter().collect();
+        let unique: std::collections::BTreeSet<_> = all_ids.iter().collect();
         assert_eq!(unique.len(), all_ids.len(), "node sets must be disjoint");
     }
 

@@ -191,7 +191,7 @@ pub(crate) fn program_plan<'a, R: clip_obs::Recorder>(
     JobSpec {
         app,
         // Borrowed, not cloned: the plan owns the ids for the epoch and
-        // the job only reads them (hot-alloc — this ran every epoch).
+        // the job only reads them (a clone here ran every epoch).
         node_ids: std::borrow::Cow::Borrowed(&plan.node_ids),
         threads_per_node: plan.threads_per_node,
         policy: plan.policy,
@@ -593,9 +593,9 @@ mod tests {
         let eff = cluster.efficiencies();
         let mut sorted: Vec<usize> = (0..8).collect();
         sorted.sort_by(|&a, &b| eff[a].partial_cmp(&eff[b]).unwrap());
-        let expected: std::collections::HashSet<usize> =
+        let expected: std::collections::BTreeSet<usize> =
             sorted[..plan.nodes()].iter().copied().collect();
-        let got: std::collections::HashSet<usize> = plan.node_ids.iter().copied().collect();
+        let got: std::collections::BTreeSet<usize> = plan.node_ids.iter().copied().collect();
         assert_eq!(got, expected);
     }
 

@@ -95,7 +95,7 @@ pub fn cross_validate(
                 // Train on everything outside this class's fold members.
                 // The predictor needs both classes, so the other class
                 // always trains on all its data.
-                let holdout: std::collections::HashSet<&str> = of_class
+                let holdout: std::collections::BTreeSet<&str> = of_class
                     .iter()
                     .enumerate()
                     .filter(|(j, _)| j % folds == fold)

@@ -1,8 +1,8 @@
 //! A lightweight item-level parser on top of [`crate::lexer`].
 //!
 //! The per-file rules of v1 only needed token patterns; the workspace-wide
-//! passes of v2 (call-graph panic propagation, determinism scoping,
-//! unit-taint dataflow, ledger coverage) need to know *which function* a
+//! passes (call-graph panic propagation, unit-taint dataflow, ledger
+//! coverage, concurrency regions) need to know *which function* a
 //! token belongs to, what its parameters and return type look like, and
 //! which `impl`/`trait` block owns it. This module extracts exactly that —
 //! an index of `fn`, `struct`, `enum` and `impl` items with token spans —
@@ -11,13 +11,11 @@
 //! `parse_file` terminates and never panics on arbitrary input.
 
 use crate::lexer::Token;
-use std::sync::Arc;
 
 /// Keywords that can prefix an item before the `fn`/`struct`/`enum` word.
 const ITEM_QUALIFIERS: [&str; 6] = ["pub", "const", "async", "unsafe", "extern", "default"];
 
-/// Everything the analyzer derives from one file's *content* (path-free,
-/// so the parse cache can share it between identical contents).
+/// Everything the analyzer derives from one file's content.
 #[derive(Debug)]
 pub struct ParsedUnit {
     /// The lexed token stream.
@@ -40,13 +38,13 @@ pub fn parse_unit(source: &str) -> ParsedUnit {
     }
 }
 
-/// One workspace file: its path plus the (possibly cache-shared) parse.
-#[derive(Debug, Clone)]
+/// One workspace file: its path plus its parse.
+#[derive(Debug)]
 pub struct ParsedSource {
     /// Workspace-relative path (`crates/<crate>/src/<file>.rs`).
     pub path: String,
     /// The parsed content.
-    pub unit: Arc<ParsedUnit>,
+    pub unit: ParsedUnit,
 }
 
 /// One `name: Type` pair (a fn parameter or a struct field).

@@ -290,14 +290,13 @@ fn methods_named(name: &str, files: &[ParsedSource], table: &SymbolTable) -> BTr
 mod tests {
     use super::*;
     use crate::ast::parse_unit;
-    use std::sync::Arc;
 
     fn workspace(sources: &[(&str, &str)]) -> (Vec<ParsedSource>, SymbolTable, CallGraph) {
         let parsed: Vec<ParsedSource> = sources
             .iter()
             .map(|(path, src)| ParsedSource {
                 path: path.to_string(),
-                unit: Arc::new(parse_unit(src)),
+                unit: parse_unit(src),
             })
             .collect();
         let table = SymbolTable::build(&parsed);
@@ -402,7 +401,7 @@ mod tests {
         let src = "fn top() {\n    work();\n}\n\nfn other() {\n    more();\n}\n";
         let parsed = ParsedSource {
             path: "crates/core/src/a.rs".to_string(),
-            unit: Arc::new(parse_unit(src)),
+            unit: parse_unit(src),
         };
         let top = fn_in_file_at_line(&parsed, 2);
         let other = fn_in_file_at_line(&parsed, 6);

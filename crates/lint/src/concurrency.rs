@@ -1,10 +1,9 @@
-//! The concurrency-safety rules: the proof obligation that replaces the
-//! blanket parallelism ban (v3).
+//! The concurrency-safety rules: parallelism as a proof obligation.
 //!
-//! ROADMAP item 1 needs parallel per-rack `EpochEngine` runs inside the
-//! replay-critical subgraph, which the v2 determinism rule simply banned.
-//! v3 permits parallel constructs **iff** the analysis can show the work
-//! is order-independent. Three rules carry the obligation:
+//! The sharded fleet runs per-rack `EpochEngine`s in parallel inside the
+//! replay-critical subgraph. The analysis permits parallel constructs
+//! **iff** it can show the work is order-independent. Three rules carry
+//! the obligation:
 //!
 //! - **shared-state** — mutable state reachable from a closure passed
 //!   across a parallel boundary (`parallel_map`, `spawn`, `par_iter` and
@@ -32,13 +31,7 @@
 //!
 //! All detection is deliberately over-approximate in the safe direction:
 //! a spurious finding costs one reasoned allowlist line; a missed race
-//! costs a nondeterministic replay. Functions whose parallel regions have
-//! shared-state or commutativity findings form the **dirty set** that
-//! [`crate::determinism`] uses for rule (d): `par_iter`-style constructs
-//! pass in the replay-critical subgraph only when their enclosing
-//! function's regions are clean. The dirty set is computed from *raw*
-//! findings, before allowlisting — allowlisting a race discharges the
-//! shared-state finding itself, not the stricter determinism obligation.
+//! costs a nondeterministic replay.
 
 use crate::ast::{matching_close, ParsedSource};
 use crate::callgraph::{self, CallGraph};
@@ -86,16 +79,6 @@ pub fn is_shared_type(name: &str) -> bool {
     SHARED_TYPES.contains(&name) || name.starts_with("Atomic")
 }
 
-/// Output of the concurrency pass.
-#[derive(Debug, Default)]
-pub struct ConcurrencyOutput {
-    /// Shared-state, commutativity and lock-discipline findings.
-    pub violations: Vec<Violation>,
-    /// Functions whose parallel regions have shared-state or
-    /// commutativity findings — the determinism rule's relaxation input.
-    pub dirty: BTreeSet<FnId>,
-}
-
 /// Workspace-level context shared by the three rules.
 struct Ctx<'a> {
     files: &'a [ParsedSource],
@@ -110,7 +93,7 @@ struct Ctx<'a> {
 }
 
 /// Run all three concurrency rules over the parsed workspace.
-pub fn check(files: &[ParsedSource], table: &SymbolTable, graph: &CallGraph) -> ConcurrencyOutput {
+pub fn check(files: &[ParsedSource], table: &SymbolTable, graph: &CallGraph) -> Vec<Violation> {
     let mut boundaries: BTreeSet<String> =
         PARALLEL_BOUNDARIES.iter().map(|s| s.to_string()).collect();
     for file in files {
@@ -152,12 +135,12 @@ pub fn check(files: &[ParsedSource], table: &SymbolTable, graph: &CallGraph) -> 
         shared_fields,
     };
 
-    let mut out = ConcurrencyOutput::default();
+    let mut out = Vec::new();
     let mut touch_cache: BTreeMap<FnId, Option<(String, String)>> = BTreeMap::new();
     for (file_idx, file) in files.iter().enumerate() {
         scan_parallel_regions(&ctx, file_idx, file, &mut touch_cache, &mut out);
     }
-    check_lock_discipline(&ctx, &mut out.violations);
+    check_lock_discipline(&ctx, &mut out);
     out
 }
 
@@ -173,7 +156,7 @@ fn scan_parallel_regions(
     file_idx: usize,
     file: &ParsedSource,
     touch_cache: &mut BTreeMap<FnId, Option<(String, String)>>,
-    out: &mut ConcurrencyOutput,
+    out: &mut Vec<Violation>,
 ) {
     let tokens = &file.unit.tokens;
     let index = &file.unit.index;
@@ -208,9 +191,6 @@ fn scan_parallel_regions(
             continue;
         };
         let caller_item = index.enclosing_fn(*call_idx);
-        let caller_id =
-            caller_item.and_then(|item| ctx.table.by_item.get(&(file_idx, item)).copied());
-        let before = out.violations.len();
         check_shared_state(
             ctx,
             file_idx,
@@ -219,14 +199,9 @@ fn scan_parallel_regions(
             boundary,
             caller_item,
             touch_cache,
-            &mut out.violations,
+            out,
         );
-        check_commutativity(file, closure, boundary, &mut out.violations);
-        if out.violations.len() > before {
-            if let Some(id) = caller_id {
-                out.dirty.insert(id);
-            }
-        }
+        check_commutativity(file, closure, boundary, out);
     }
 }
 
@@ -803,14 +778,13 @@ fn lock_identity(
 mod tests {
     use super::*;
     use crate::ast::parse_unit;
-    use std::sync::Arc;
 
-    fn run(sources: &[(&str, &str)]) -> ConcurrencyOutput {
+    fn run(sources: &[(&str, &str)]) -> Vec<Violation> {
         let parsed: Vec<ParsedSource> = sources
             .iter()
             .map(|(path, src)| ParsedSource {
                 path: path.to_string(),
-                unit: Arc::new(parse_unit(src)),
+                unit: parse_unit(src),
             })
             .collect();
         let table = SymbolTable::build(&parsed);
@@ -818,9 +792,8 @@ mod tests {
         check(&parsed, &table, &graph)
     }
 
-    fn names(out: &ConcurrencyOutput, rule: Rule) -> Vec<&str> {
-        out.violations
-            .iter()
+    fn names(out: &[Violation], rule: Rule) -> Vec<&str> {
+        out.iter()
             .filter(|v| v.rule == rule)
             .map(|v| v.name.as_str())
             .collect()
@@ -833,7 +806,7 @@ mod tests {
             "fn f(shared: &RefCell<f64>) { spawn(move || { shared.borrow_mut(); }); }",
         )]);
         let n = names(&out, Rule::SharedState);
-        assert!(n.contains(&"borrow_mut"), "{:?}", out.violations);
+        assert!(n.contains(&"borrow_mut"), "{:?}", out);
     }
 
     #[test]
@@ -843,8 +816,7 @@ mod tests {
             "fn step(x: u32) -> u32 { x + 1 }\n\
              fn f(xs: Vec<u32>) { spawn(move || { let v: Vec<u32> = step(3); v; }); }",
         )]);
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
-        assert!(out.dirty.is_empty());
+        assert!(out.is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -857,7 +829,7 @@ mod tests {
              pub fn caller(xs: Vec<u32>) { my_fork_join(xs, |x| { COUNT.fetch_add(1); x }); }",
         )]);
         let n = names(&out, Rule::SharedState);
-        assert!(n.contains(&"COUNT"), "{:?}", out.violations);
+        assert!(n.contains(&"COUNT"), "{:?}", out);
     }
 
     #[test]
@@ -868,16 +840,11 @@ mod tests {
              fn record() { HITS.fetch_add(1); }\n\
              fn outer(xs: Vec<u32>) { spawn(move || { record(); }); }",
         )]);
-        let v: Vec<_> = out
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::SharedState)
-            .collect();
-        assert_eq!(v.len(), 1, "{:?}", out.violations);
+        let v: Vec<_> = out.iter().filter(|v| v.rule == Rule::SharedState).collect();
+        assert_eq!(v.len(), 1, "{:?}", out);
         let first = v.first().expect("one finding");
         assert_eq!(first.name, "HITS");
         assert!(first.message.contains("via `record`"), "{}", first.message);
-        assert!(!out.dirty.is_empty());
     }
 
     #[test]
@@ -888,8 +855,8 @@ mod tests {
              spawn(move || { acc += 1.0; sink.push(1); let local = 0.0; local; }); }",
         )]);
         let n = names(&out, Rule::Commutativity);
-        assert!(n.contains(&"acc"), "{:?}", out.violations);
-        assert!(n.contains(&"sink"), "{:?}", out.violations);
+        assert!(n.contains(&"acc"), "{:?}", out);
+        assert!(n.contains(&"sink"), "{:?}", out);
     }
 
     #[test]
@@ -899,11 +866,7 @@ mod tests {
             "fn f(out: &mut Vec<f64>) { spawn(move || { out[0] = 1.0; \
              let mut local = 0.0; local += 2.0; for i in 0..3 { i; } }); }",
         )]);
-        assert!(
-            names(&out, Rule::Commutativity).is_empty(),
-            "{:?}",
-            out.violations
-        );
+        assert!(names(&out, Rule::Commutativity).is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -917,11 +880,10 @@ mod tests {
              }",
         )]);
         let v: Vec<_> = out
-            .violations
             .iter()
             .filter(|v| v.rule == Rule::LockDiscipline)
             .collect();
-        assert_eq!(v.len(), 1, "{:?}", out.violations);
+        assert_eq!(v.len(), 1, "{:?}", out);
         let first = v.first().expect("one finding");
         assert_eq!(first.name, "Pair.a");
         assert!(first.message.contains("Pair.b"));
@@ -937,11 +899,7 @@ mod tests {
              pub fn two(&self) { self.a.lock(); self.b.lock(); }\n\
              }",
         )]);
-        assert!(
-            names(&out, Rule::LockDiscipline).is_empty(),
-            "{:?}",
-            out.violations
-        );
+        assert!(names(&out, Rule::LockDiscipline).is_empty(), "{:?}", out);
     }
 
     #[test]
@@ -956,7 +914,7 @@ mod tests {
              }",
         )]);
         let n = names(&out, Rule::LockDiscipline);
-        assert!(n.contains(&"Pair.a"), "{:?}", out.violations);
+        assert!(n.contains(&"Pair.a"), "{:?}", out);
     }
 
     #[test]
@@ -965,6 +923,6 @@ mod tests {
             "crates/core/src/a.rs",
             "#[cfg(test)]\nmod t { fn f(c: &RefCell<u8>) { spawn(move || { c.borrow_mut(); }); } }",
         )]);
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert!(out.is_empty(), "{:?}", out);
     }
 }

@@ -307,14 +307,13 @@ fn split_args(tokens: &[Token], start: usize, end: usize) -> Vec<(usize, usize)>
 mod tests {
     use super::*;
     use crate::ast::parse_unit;
-    use std::sync::Arc;
 
     fn run(sources: &[(&str, &str)]) -> Vec<Violation> {
         let parsed: Vec<ParsedSource> = sources
             .iter()
             .map(|(path, src)| ParsedSource {
                 path: path.to_string(),
-                unit: Arc::new(parse_unit(src)),
+                unit: parse_unit(src),
             })
             .collect();
         let table = SymbolTable::build(&parsed);

@@ -80,14 +80,13 @@ pub fn check(files: &[ParsedSource], table: &SymbolTable, graph: &CallGraph) -> 
 mod tests {
     use super::*;
     use crate::ast::parse_unit;
-    use std::sync::Arc;
 
     fn run(sources: &[(&str, &str)]) -> Vec<Violation> {
         let parsed: Vec<ParsedSource> = sources
             .iter()
             .map(|(path, src)| ParsedSource {
                 path: path.to_string(),
-                unit: Arc::new(parse_unit(src)),
+                unit: parse_unit(src),
             })
             .collect();
         let table = SymbolTable::build(&parsed);

@@ -4,61 +4,44 @@
 //!
 //! `cargo clippy` enforces general Rust hygiene; this crate enforces the
 //! invariants that are specific to a power-coordination codebase and that
-//! no general-purpose linter knows about.
+//! no general-purpose linter knows about. Checks the tree makes more
+//! exactly elsewhere live there: per-epoch allocations are counted by
+//! `scripts/check.sh`'s allocation ceilings, and `HashMap`/`HashSet`/
+//! wall clocks are banned by clippy's `disallowed_types`
+//! (`crates/clippy.toml`), which resolves the type where a token match
+//! would miss an alias.
 //!
-//! Per-file rules (v1, [`rules`]):
+//! Per-file rules ([`rules`]):
 //!
 //! 1. **unit-safety** — power, energy and time values cross function and
 //!    struct boundaries as `simkit` quantities, never as bare `f64`.
 //! 2. **panic-freedom** — library code must not contain
-//!    `unwrap`/`expect`/`panic!`/indexing panics.
+//!    `unwrap`/`expect`/`panic!`/indexing panics, `map[&key]` included.
 //! 3. **exhaustiveness** — matches over the domain enums list every
-//!    variant. The enum list is auto-discovered from `pub enum`
-//!    declarations deriving `Serialize` + `Clone` in the domain crates.
+//!    variant: no `_` or lone-binding catch-all arm, whether the
+//!    scrutinee is the enum, a tuple or an `Option` holding it. The enum
+//!    list is auto-discovered from `pub enum` declarations deriving
+//!    `Serialize` + `Clone` in the domain crates.
 //!
-//! Workspace-wide passes (v2), built on an item-level parser ([`ast`]), a
+//! Workspace-wide passes, built on an item-level parser ([`ast`]), a
 //! symbol table ([`symbols`]) and a call graph ([`callgraph`]):
 //!
-//! 4. **determinism** ([`determinism`]) — no `HashMap`/`HashSet`/wall
-//!    clocks/unordered parallel reductions inside the replay-critical
-//!    subgraph rooted at the scheduler entry points.
-//! 5. **unit-taint** ([`dataflow`]) — bare `f64` quantities must not flow
+//! 4. **unit-taint** ([`dataflow`]) — bare `f64` quantities must not flow
 //!    through bindings, returns or call arguments into unit-named sinks,
 //!    across function and crate boundaries.
-//! 6. **ledger-coverage** ([`ledger`]) — every `PowerScheduler` impl's
+//! 5. **ledger-coverage** ([`ledger`]) — every `PowerScheduler` impl's
 //!    `plan`/`plan_subset` transitively reaches `BudgetLedger`.
 //!
-//! Concurrency-safety passes (v3, [`concurrency`]) — the proof obligation
-//! that replaces the v2 blanket parallelism ban:
+//! Concurrency-safety passes ([`concurrency`]):
 //!
-//! 7. **shared-state** — mutable state (interior-mutable types, mutable
+//! 6. **shared-state** — mutable state (interior-mutable types, mutable
 //!    statics) reachable from closures passed across parallel boundaries,
 //!    found directly or transitively through the call graph.
-//! 8. **commutativity** — order-sensitive folds (accumulation, captured
+//! 7. **commutativity** — order-sensitive folds (accumulation, captured
 //!    sinks) inside parallel regions; indexed write-back is the blessed
 //!    escape.
-//! 9. **lock-discipline** — lock pairs acquired in inconsistent order
+//! 8. **lock-discipline** — lock pairs acquired in inconsistent order
 //!    across the call graph (deadlock cycles).
-//!
-//! When rules 7–8 are clean for a function, the determinism rule admits
-//! `par_iter`-style constructs in its replay-critical body (the v3
-//! relaxation); otherwise they are flagged as before.
-//!
-//! Hot-path cost passes (v4, [`costmodel`]) — the per-epoch overhead
-//! ratchet for ROADMAP item 4:
-//!
-//! 10. **hot-alloc** — heap-allocating calls (`Vec::new`, `vec!`,
-//!     `collect`, `to_string`, `clone`, …) reachable from the epoch-loop
-//!     entry points and not hoisted to `begin_run`/setup or hidden behind
-//!     an `enabled()` gate, reported with their `via` call chain.
-//! 11. **hot-serde** — `serde_json` serialization on a hot path outside
-//!     an `enabled()`-gated recorder block: per-event cost that is paid
-//!     even when nobody is tracing.
-//!
-//! The report additionally pins a per-entry-point budget table of raw
-//! hot allocation/serialization site counts ([`Report::cost`]), so a new
-//! hot-path allocation fails CI even when allowlisted — the ratchet
-//! moves only by re-pinning the golden with the reason on record.
 //!
 //! The analyzer additionally annotates every *allowlisted* panic site and
 //! every shared-state race site with its blast radius: which scheduler
@@ -67,9 +50,8 @@
 //! `stale-unreachable` so the allowlist shrinks as code is refactored.
 //!
 //! Files parse in parallel via the workspace's order-preserving
-//! `parallel_map`; parses are cached by content hash ([`cache`]). Reports
-//! come out as JSON (schema [`REPORT_VERSION`], golden-pinned) or SARIF
-//! 2.1.0 ([`sarif`]) for CI annotation.
+//! `parallel_map`. The report comes out as JSON (schema
+//! [`REPORT_VERSION`], golden-pinned).
 //!
 //! Intentional escapes go in the allowlist, one per line:
 //!
@@ -81,20 +63,15 @@
 //! required.)
 
 pub mod ast;
-pub mod cache;
 pub mod callgraph;
 pub mod concurrency;
-pub mod costmodel;
 pub mod dataflow;
-pub mod determinism;
 pub mod ledger;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 
-use ast::ParsedSource;
-use cache::{CacheStats, ParseCache};
+use ast::{parse_unit, ParsedSource};
 use callgraph::CallGraph;
 use rules::{FileRules, Rule, Violation};
 use serde::Serialize;
@@ -108,7 +85,7 @@ use symbols::SymbolTable;
 pub const UNIT_SAFETY_CRATES: [&str; 4] = ["core", "cluster", "simnode", "baselines"];
 
 /// Format version of the JSON report.
-pub const REPORT_VERSION: u32 = 4;
+pub const REPORT_VERSION: u32 = 5;
 
 /// One allowlist entry: `rule file-suffix name  # reason`.
 #[derive(Debug, Clone)]
@@ -178,8 +155,6 @@ pub struct Summary {
     pub panic_freedom: usize,
     /// exhaustiveness violations.
     pub exhaustiveness: usize,
-    /// determinism violations.
-    pub determinism: usize,
     /// unit-taint violations.
     pub unit_taint: usize,
     /// ledger-coverage violations.
@@ -190,10 +165,6 @@ pub struct Summary {
     pub commutativity: usize,
     /// lock-discipline violations.
     pub lock_discipline: usize,
-    /// hot-alloc violations.
-    pub hot_alloc: usize,
-    /// hot-serde violations.
-    pub hot_serde: usize,
     /// Findings silenced by the allowlist.
     pub allowlisted: usize,
 }
@@ -252,11 +223,6 @@ pub struct Report {
     pub race_reachability: Vec<SiteReachability>,
     /// Allow entries whose panic sites no entry point reaches.
     pub stale_unreachable: Vec<StaleUnreachable>,
-    /// Per-entry-point hot-path budget: raw (pre-allowlist) allocation
-    /// and serialization site counts reachable from each epoch-loop
-    /// entry point. Golden-pinned, so hot-path cost only ratchets
-    /// deliberately.
-    pub cost: Vec<costmodel::EntryCost>,
     /// Aggregate counts.
     pub summary: Summary,
 }
@@ -312,14 +278,11 @@ pub fn build_report(
             Rule::UnitSafety => summary.unit_safety += 1,
             Rule::PanicFreedom => summary.panic_freedom += 1,
             Rule::Exhaustiveness => summary.exhaustiveness += 1,
-            Rule::Determinism => summary.determinism += 1,
             Rule::UnitTaint => summary.unit_taint += 1,
             Rule::LedgerCoverage => summary.ledger_coverage += 1,
             Rule::SharedState => summary.shared_state += 1,
             Rule::Commutativity => summary.commutativity += 1,
             Rule::LockDiscipline => summary.lock_discipline += 1,
-            Rule::HotAlloc => summary.hot_alloc += 1,
-            Rule::HotSerde => summary.hot_serde += 1,
         }
     }
     let stale_allow = used
@@ -335,7 +298,6 @@ pub fn build_report(
             panic_reachability: Vec::new(),
             race_reachability: Vec::new(),
             stale_unreachable: Vec::new(),
-            cost: Vec::new(),
             summary,
         },
         stale_allow,
@@ -355,15 +317,13 @@ pub struct SourceFile {
 /// Result of a full workspace analysis.
 #[derive(Debug)]
 pub struct Analysis {
-    /// The v3 report.
+    /// The report.
     pub report: Report,
     /// Indices of allowlist entries that silenced nothing at all.
     pub stale_allow: Vec<usize>,
-    /// Parse-cache hit/miss counters for this run.
-    pub cache: CacheStats,
 }
 
-/// Run the full pipeline over in-memory sources: parse (parallel, cached)
+/// Run the full pipeline over in-memory sources: parse (parallel)
 /// → symbol table → per-file rules (parallel, with discovered enums) →
 /// call graph → transitive passes → allowlisted report with panic and
 /// race blast-radius annotations.
@@ -372,11 +332,11 @@ pub struct Analysis {
 /// every route and report byte — is independent of input order; together
 /// with the order-preserving `parallel_map` this is what makes the
 /// analysis pass its own shared-state and commutativity rules.
-pub fn analyze(mut sources: Vec<SourceFile>, allow: &[AllowEntry], cache: &ParseCache) -> Analysis {
+pub fn analyze(mut sources: Vec<SourceFile>, allow: &[AllowEntry]) -> Analysis {
     sources.sort_by(|a, b| a.path.cmp(&b.path));
     let parsed: Vec<ParsedSource> = cluster_sim::sweep::parallel_map(sources, |s| ParsedSource {
         path: s.path,
-        unit: cache.parse(&s.source),
+        unit: parse_unit(&s.source),
     });
     let table = SymbolTable::build(&parsed);
     let enums = table.domain_enums.clone();
@@ -401,24 +361,9 @@ pub fn analyze(mut sources: Vec<SourceFile>, allow: &[AllowEntry], cache: &Parse
 
     let graph = CallGraph::build(&parsed, &table);
     let entries = table.entry_points(&parsed);
-    // The concurrency pass runs first: its dirty set (functions whose
-    // parallel regions have raw shared-state/commutativity findings)
-    // gates the determinism rule's v3 parallelism relaxation. Raw, not
-    // post-allowlist: allowlisting a race discharges the shared-state
-    // finding, not the stricter replay-determinism obligation.
-    let conc = concurrency::check(&parsed, &table, &graph);
-    findings.extend(determinism::check(
-        &parsed,
-        &table,
-        &graph,
-        &entries,
-        &conc.dirty,
-    ));
-    findings.extend(conc.violations);
+    findings.extend(concurrency::check(&parsed, &table, &graph));
     findings.extend(dataflow::check(&parsed, &table));
     findings.extend(ledger::check(&parsed, &table, &graph));
-    let cost = costmodel::check(&parsed, &table, &graph);
-    findings.extend(cost.violations);
 
     let BuildOutput {
         mut report,
@@ -427,7 +372,6 @@ pub fn analyze(mut sources: Vec<SourceFile>, allow: &[AllowEntry], cache: &Parse
     } = build_report(findings, files_scanned, allow);
     report.summary.functions = table.fns.len();
     report.summary.entry_points = entries.len();
-    report.cost = cost.budget;
 
     // Blast radius of every allowlisted panic site and every shared-state
     // race site: which entry points reach it, via which shortest path.
@@ -523,16 +467,11 @@ pub fn analyze(mut sources: Vec<SourceFile>, allow: &[AllowEntry], cache: &Parse
     Analysis {
         report,
         stale_allow,
-        cache: cache.stats(),
     }
 }
 
 /// Read every workspace source under `root` and [`analyze`] it.
-pub fn analyze_workspace(
-    root: &Path,
-    allow: &[AllowEntry],
-    cache: &ParseCache,
-) -> std::io::Result<Analysis> {
+pub fn analyze_workspace(root: &Path, allow: &[AllowEntry]) -> std::io::Result<Analysis> {
     let mut sources = Vec::new();
     for rel in workspace_sources(root)? {
         let rel_str = rel.to_string_lossy().replace('\\', "/");
@@ -542,7 +481,7 @@ pub fn analyze_workspace(
             source,
         });
     }
-    Ok(analyze(sources, allow, cache))
+    Ok(analyze(sources, allow))
 }
 
 /// Scan one source string as if it were the file `rel_path` (the per-file
@@ -699,8 +638,7 @@ mod tests {
                 reason: "bounds asserted".into(),
             },
         ];
-        let cache = ParseCache::new();
-        let analysis = analyze(fixture_sources(), &allow, &cache);
+        let analysis = analyze(fixture_sources(), &allow);
         let report = &analysis.report;
         assert_eq!(report.summary.total, 0, "{:?}", report.violations);
         assert_eq!(report.summary.entry_points, 1);
@@ -747,26 +685,12 @@ mod tests {
                     .to_string(),
             },
         ];
-        let cache = ParseCache::new();
-        let analysis = analyze(sources, &[], &cache);
+        let analysis = analyze(sources, &[]);
         let v = &analysis.report.violations;
         assert!(
             v.iter()
                 .any(|v| v.rule == Rule::Exhaustiveness && v.name == "NewKind"),
             "{v:?}"
         );
-    }
-
-    #[test]
-    fn analyze_cache_round_trip() {
-        let cache = ParseCache::new();
-        let _ = analyze(fixture_sources(), &[], &cache);
-        let first = cache.stats();
-        assert_eq!(first.hits, 0);
-        assert_eq!(first.misses, 2);
-        let _ = analyze(fixture_sources(), &[], &cache);
-        let second = cache.stats();
-        assert_eq!(second.hits, 2);
-        assert_eq!(second.misses, 2);
     }
 }

@@ -1,25 +1,23 @@
 //! The `clip-lint` CLI: analyze the workspace, apply the allowlist, report.
 //!
 //! ```text
-//! clip-lint [--json] [--sarif PATH] [--allowlist PATH] [--timings PATH]
-//!           [--schema-version] [ROOT]
+//! clip-lint [--json] [--allowlist PATH] [--timings PATH] [--schema-version]
+//!           [ROOT]
 //! ```
 //!
 //! Exits 0 when no violations survive the allowlist, 1 otherwise, 2 on
 //! usage or I/O errors. `scripts/check.sh` runs it as a hard gate:
 //! `--schema-version` prints the bare report version (its schema gate),
-//! and `--timings` writes wall-time plus parse-cache stats as JSON (its
+//! and `--timings` writes the wall time and file count as JSON (its
 //! `BENCH_lint.json` ratchet input).
 
-use clip_lint::{cache::ParseCache, parse_allowlist, sarif, AllowEntry, Analysis};
+use clip_lint::{parse_allowlist, AllowEntry, Analysis};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Args {
     json: bool,
     schema_version: bool,
-    sarif: Option<PathBuf>,
     allowlist: Option<PathBuf>,
     timings: Option<PathBuf>,
     root: Option<PathBuf>,
@@ -29,7 +27,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json: false,
         schema_version: false,
-        sarif: None,
         allowlist: None,
         timings: None,
         root: None,
@@ -39,10 +36,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--json" => args.json = true,
             "--schema-version" => args.schema_version = true,
-            "--sarif" => {
-                let path = it.next().ok_or("--sarif needs a path")?;
-                args.sarif = Some(PathBuf::from(path));
-            }
             "--allowlist" => {
                 let path = it.next().ok_or("--allowlist needs a path")?;
                 args.allowlist = Some(PathBuf::from(path));
@@ -53,8 +46,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: clip-lint [--json] [--sarif PATH] [--allowlist PATH] \
-                     [--timings PATH] [--schema-version] [ROOT]"
+                    "usage: clip-lint [--json] [--allowlist PATH] [--timings PATH] \
+                     [--schema-version] [ROOT]"
                         .to_string(),
                 )
             }
@@ -82,6 +75,10 @@ fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "the --timings wall clock measures the analyzer itself and never reaches a report"
+)]
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
     if args.schema_version {
@@ -112,13 +109,11 @@ fn run() -> Result<bool, String> {
         Vec::new()
     };
 
-    let started = Instant::now();
-    let cache = ParseCache::new();
+    let started = std::time::Instant::now();
     let Analysis {
         report,
         stale_allow,
-        cache: cache_stats,
-    } = clip_lint::analyze_workspace(&root, &allow, &cache)
+    } = clip_lint::analyze_workspace(&root, &allow)
         .map_err(|e| format!("{}: {e}", root.display()))?;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
@@ -138,18 +133,6 @@ fn run() -> Result<bool, String> {
         );
     }
 
-    if let Some(sarif_path) = &args.sarif {
-        let doc = sarif::to_sarif(&report);
-        let text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        if let Some(parent) = sarif_path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-            }
-        }
-        std::fs::write(sarif_path, text + "\n")
-            .map_err(|e| format!("{}: {e}", sarif_path.display()))?;
-    }
-
     if args.json {
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         println!("{json}");
@@ -160,9 +143,9 @@ fn run() -> Result<bool, String> {
         let s = &report.summary;
         println!(
             "clip-lint: {} file(s), {} fn(s), {} entry point(s), {} violation(s) \
-             ({} unit-safety, {} panic-freedom, {} exhaustiveness, {} determinism, \
-             {} unit-taint, {} ledger-coverage, {} shared-state, {} commutativity, \
-             {} lock-discipline, {} hot-alloc, {} hot-serde), {} allowlisted",
+             ({} unit-safety, {} panic-freedom, {} exhaustiveness, {} unit-taint, \
+             {} ledger-coverage, {} shared-state, {} commutativity, {} lock-discipline), \
+             {} allowlisted",
             s.files_scanned,
             s.functions,
             s.entry_points,
@@ -170,14 +153,11 @@ fn run() -> Result<bool, String> {
             s.unit_safety,
             s.panic_freedom,
             s.exhaustiveness,
-            s.determinism,
             s.unit_taint,
             s.ledger_coverage,
             s.shared_state,
             s.commutativity,
             s.lock_discipline,
-            s.hot_alloc,
-            s.hot_serde,
             s.allowlisted
         );
         let reachable = report
@@ -200,29 +180,12 @@ fn run() -> Result<bool, String> {
             report.race_reachability.len(),
             race_reachable
         );
-        for e in &report.cost {
-            println!(
-                "clip-lint: hot-path budget: {} — {} alloc site(s), {} serde site(s)",
-                e.entry, e.alloc_sites, e.serde_sites
-            );
-        }
     }
-    eprintln!(
-        "clip-lint: analyzed in {elapsed_ms:.1} ms (parse cache: {} hits, {} misses)",
-        cache_stats.hits, cache_stats.misses
-    );
+    eprintln!("clip-lint: analyzed in {elapsed_ms:.1} ms");
     if let Some(timings_path) = &args.timings {
-        let total = cache_stats.hits + cache_stats.misses;
-        let hit_rate = if total == 0 {
-            0.0
-        } else {
-            cache_stats.hits as f64 / total as f64
-        };
         let text = format!(
-            "{{\n  \"wall_ms\": {elapsed_ms:.1},\n  \"cache_hits\": {},\n  \
-             \"cache_misses\": {},\n  \"cache_hit_rate\": {hit_rate:.3},\n  \
-             \"files_scanned\": {}\n}}\n",
-            cache_stats.hits, cache_stats.misses, report.summary.files_scanned
+            "{{\n  \"wall_ms\": {elapsed_ms:.1},\n  \"files_scanned\": {}\n}}\n",
+            report.summary.files_scanned
         );
         if let Some(parent) = timings_path.parent() {
             if !parent.as_os_str().is_empty() {

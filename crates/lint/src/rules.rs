@@ -8,19 +8,20 @@
 //! - **panic-freedom**: non-test library code must not call `.unwrap()`,
 //!   `.expect(…)`, invoke `panic!`, or index slices with `[…]`.
 //! - **exhaustiveness**: a `match` that names a domain enum must not use a
-//!   bare `_` arm — new variants must fail to compile, not silently fall
-//!   through. The enum list is auto-discovered by
+//!   catch-all arm, a bare `_` or a lone binding such as `other` — new
+//!   variants must fail to compile, not silently fall through. The enum
+//!   list is auto-discovered by
 //!   [`crate::symbols::SymbolTable`]; [`DOMAIN_ENUMS`] remains as the
 //!   fallback for standalone per-file scans.
 //!
-//! The workspace-wide v2 rules (determinism, unit-taint, ledger-coverage)
-//! live in [`crate::determinism`], [`crate::dataflow`] and
-//! [`crate::ledger`], the v3 concurrency rules (shared-state,
-//! commutativity, lock-discipline) in [`crate::concurrency`], and the v4
-//! hot-path cost rules (hot-alloc, hot-serde) in [`crate::costmodel`];
-//! their [`Rule`] variants are declared here so every finding shares one
-//! [`Violation`] shape and one allowlist keying scheme.
+//! The workspace-wide rules (unit-taint, ledger-coverage) live in
+//! [`crate::dataflow`] and [`crate::ledger`], and the concurrency rules
+//! (shared-state, commutativity, lock-discipline) in
+//! [`crate::concurrency`]; their [`Rule`] variants are declared here so
+//! every finding shares one [`Violation`] shape and one allowlist keying
+//! scheme.
 
+use crate::ast::matching_close;
 use crate::lexer::Token;
 use serde::Serialize;
 
@@ -53,10 +54,8 @@ pub enum Rule {
     UnitSafety,
     /// `unwrap`/`expect`/`panic!`/indexing in library code.
     PanicFreedom,
-    /// Wildcard arm in a domain-enum match.
+    /// Catch-all arm in a domain-enum match.
     Exhaustiveness,
-    /// Nondeterministic construct inside the replay-critical subgraph.
-    Determinism,
     /// Bare-f64 value flowing into a power/energy-named sink across a
     /// binding, return, or call boundary.
     UnitTaint,
@@ -71,12 +70,6 @@ pub enum Rule {
     Commutativity,
     /// Lock pair acquired in inconsistent order across the call graph.
     LockDiscipline,
-    /// Heap allocation executed per epoch/per event on the engine's hot
-    /// path instead of hoisted to `begin_run`/setup.
-    HotAlloc,
-    /// `serde_json` serialization on a hot path outside an
-    /// `enabled()`-gated recorder payload region.
-    HotSerde,
 }
 
 // Serialized as the stable kebab-case name, matching the allowlist key.
@@ -87,67 +80,17 @@ impl Serialize for Rule {
 }
 
 impl Rule {
-    /// Every rule, in report order (drives the SARIF rule descriptors).
-    pub const ALL: [Rule; 11] = [
-        Rule::UnitSafety,
-        Rule::PanicFreedom,
-        Rule::Exhaustiveness,
-        Rule::Determinism,
-        Rule::UnitTaint,
-        Rule::LedgerCoverage,
-        Rule::SharedState,
-        Rule::Commutativity,
-        Rule::LockDiscipline,
-        Rule::HotAlloc,
-        Rule::HotSerde,
-    ];
-
-    /// One-line description for tooling surfaces (SARIF, docs).
-    pub fn description(&self) -> &'static str {
-        match self {
-            Rule::UnitSafety => "power/energy/time values must be simkit quantities, not bare f64",
-            Rule::PanicFreedom => "library code must not unwrap/expect/panic!/index",
-            Rule::Exhaustiveness => "matches over domain enums must list every variant",
-            Rule::Determinism => {
-                "no nondeterministic construct inside the replay-critical call subgraph"
-            }
-            Rule::UnitTaint => {
-                "bare f64 must not flow into unit-named sinks across function boundaries"
-            }
-            Rule::LedgerCoverage => {
-                "every PowerScheduler plan must transitively reach BudgetLedger"
-            }
-            Rule::SharedState => {
-                "no mutable state reachable from closures crossing a parallel boundary"
-            }
-            Rule::Commutativity => {
-                "parallel folds must be order-independent (indexed write-back or allowlisted)"
-            }
-            Rule::LockDiscipline => "locks must be acquired in one global order (no cycles)",
-            Rule::HotAlloc => {
-                "no per-epoch heap allocation on the engine hot path; hoist to begin_run/setup"
-            }
-            Rule::HotSerde => {
-                "hot-path serialization (JSON or binary frames) must stay behind the \
-                 enabled()/enabled_for()-gated recorder boundary"
-            }
-        }
-    }
-
     /// Stable kebab-case name (the JSON encoding and allowlist key).
     pub fn name(&self) -> &'static str {
         match self {
             Rule::UnitSafety => "unit-safety",
             Rule::PanicFreedom => "panic-freedom",
             Rule::Exhaustiveness => "exhaustiveness",
-            Rule::Determinism => "determinism",
             Rule::UnitTaint => "unit-taint",
             Rule::LedgerCoverage => "ledger-coverage",
             Rule::SharedState => "shared-state",
             Rule::Commutativity => "commutativity",
             Rule::LockDiscipline => "lock-discipline",
-            Rule::HotAlloc => "hot-alloc",
-            Rule::HotSerde => "hot-serde",
         }
     }
 }
@@ -385,25 +328,6 @@ fn check_unit_safety(
     }
 }
 
-/// Index of the token closing the delimiter opened at `open_idx` (or the
-/// end of the stream).
-fn matching_close(tokens: &[Token], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0i32;
-    let mut j = open_idx;
-    while let Some(t) = tokens.get(j) {
-        if t.is(open) {
-            depth += 1;
-        } else if t.is(close) {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    tokens.len()
-}
-
 /// Within `[start, end)`, find depth-0 `name : f64` sequences whose name
 /// carries a unit fragment.
 fn scan_typed_names(
@@ -557,22 +481,33 @@ fn check_exhaustiveness(
             .collect();
         if let Some(&enum_name) = mentions.first() {
             for (line, pattern) in arm_patterns(tokens, body_open, body_close) {
-                if pattern.len() == 1 && pattern.first().is_some_and(|p| *p == "_") {
-                    out.push(Violation {
-                        rule: Rule::Exhaustiveness,
-                        file: file.to_string(),
-                        line,
-                        name: enum_name.to_string(),
-                        message: format!(
-                            "wildcard `_` arm in a match over `{enum_name}`; list every variant \
-                             so new ones fail to compile"
-                        ),
-                    });
+                if let [arm] = pattern.as_slice() {
+                    if is_catch_all(arm) {
+                        out.push(Violation {
+                            rule: Rule::Exhaustiveness,
+                            file: file.to_string(),
+                            line,
+                            name: enum_name.to_string(),
+                            message: format!(
+                                "wildcard `{arm}` arm in a match over `{enum_name}`; list every \
+                                 variant so new ones fail to compile"
+                            ),
+                        });
+                    }
                 }
             }
         }
         i = body_close.max(i + 1);
     }
+}
+
+/// True for a one-token arm pattern that matches anything: `_`, or a
+/// lone binding such as `other` (a lowercase identifier other than the
+/// `true`/`false` literals).
+fn is_catch_all(pattern: &str) -> bool {
+    pattern != "true"
+        && pattern != "false"
+        && pattern.starts_with(|c: char| c == '_' || c.is_ascii_lowercase())
 }
 
 /// The `(line, pattern-token-texts)` of each arm in a match body.
@@ -712,6 +647,19 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v.first().map(|v| v.rule), Some(Rule::Exhaustiveness));
         assert_eq!(v.first().map(|v| v.line), Some(4));
+    }
+
+    #[test]
+    fn binding_catch_all_on_domain_enum_flagged() {
+        let src = "fn f(c: ScalabilityClass) -> u32 {\n match c {\n ScalabilityClass::Linear \
+                   => 1,\n other => rank(other),\n }\n}";
+        let v = check(src);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v.first().map(|v| v.rule), Some(Rule::Exhaustiveness));
+        assert_eq!(v.first().map(|v| v.line), Some(4));
+        let bools = "fn f(c: ScalabilityClass) -> u32 { match c == ScalabilityClass::Linear { \
+                     true => 1, false => 2 } }";
+        assert!(check(bools).is_empty());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub const ENTRY_METHODS: [&str; 2] = ["plan", "plan_subset"];
 /// The engine owning the canonical epoch cycle: its public cycle methods
 /// root the replay-critical subgraph directly, so harnesses that call the
 /// engine without going through `run_with_faults` (the dispatcher,
-/// multijob) stay inside the determinism and blast-radius passes.
+/// multijob) stay inside the blast-radius pass.
 pub const ENTRY_ENGINE_TYPE: &str = "EpochEngine";
 
 /// Entry-point method names on [`ENTRY_ENGINE_TYPE`] — the monolithic
@@ -215,14 +215,13 @@ impl SymbolTable {
 mod tests {
     use super::*;
     use crate::ast::parse_unit;
-    use std::sync::Arc;
 
     fn build(sources: &[(&str, &str)]) -> (Vec<ParsedSource>, SymbolTable) {
         let parsed: Vec<ParsedSource> = sources
             .iter()
             .map(|(path, src)| ParsedSource {
                 path: path.to_string(),
-                unit: Arc::new(parse_unit(src)),
+                unit: parse_unit(src),
             })
             .collect();
         let table = SymbolTable::build(&parsed);

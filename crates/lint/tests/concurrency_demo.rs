@@ -1,21 +1,17 @@
 //! The seeded sharding demo: `parallel_map` over per-rack engine shards
-//! passes the determinism rule clean (the v3 relaxation in action), while
-//! the same code with an injected shared-`RefCell` mutation is flagged by
-//! the shared-state rule with a full entry-point blast-radius path.
+//! passes every rule clean, while the same code with an injected
+//! shared-`RefCell` mutation is flagged by the shared-state rule with a
+//! full entry-point blast-radius path.
 //!
-//! This is the workflow ROADMAP item 1 needs: the fleet-sharding PR can
-//! run racks in parallel inside the replay-critical subgraph, and the
-//! lint proves (rather than assumes) that the parallelism is
-//! replay-deterministic.
+//! This is the workflow fleet sharding needs: racks run in parallel
+//! inside the replay-critical subgraph, and the lint proves (rather than
+//! assumes) that the parallelism is replay-deterministic.
 
-use clip_lint::cache::ParseCache;
 use clip_lint::rules::Rule;
 use clip_lint::{analyze, Analysis, SourceFile};
 
 /// Per-rack shards fanned out through the order-preserving fork-join
-/// helper; the closure is pure and results rejoin by index. The
-/// `par_iter` call is replay-critical but passes: the enclosing
-/// function's parallel regions are clean, so the obligation is met.
+/// helper; the closure is pure and results rejoin by index.
 const CLEAN: &str = r#"
 pub fn parallel_map<T: Send, R: Send, F>(items: Vec<T>, f: F) -> Vec<R>
 where
@@ -31,7 +27,6 @@ pub struct EpochEngine {
 impl EpochEngine {
     pub fn coordinate(&mut self) -> Vec<u64> {
         let shards = self.racks.clone();
-        let hint = shards.par_iter();
         parallel_map(shards, |rack| step(rack))
     }
 }
@@ -43,8 +38,7 @@ fn step(rack: u64) -> u64 {
 
 /// The same shard fan-out with an injected shared-`RefCell` mutation:
 /// every worker pokes one captured cell, so replay order leaks into
-/// state. Both the race itself and the now-unmet `par_iter` obligation
-/// must be flagged.
+/// state.
 const RACED: &str = r#"
 pub fn parallel_map<T: Send, R: Send, F>(items: Vec<T>, f: F) -> Vec<R>
 where
@@ -61,7 +55,6 @@ impl EpochEngine {
     pub fn coordinate(&mut self) -> Vec<u64> {
         let seen = RefCell::new(0u64);
         let shards = self.racks.clone();
-        let hint = shards.par_iter();
         parallel_map(shards, |rack| {
             seen.borrow_mut();
             step(rack)
@@ -75,19 +68,17 @@ fn step(rack: u64) -> u64 {
 "#;
 
 fn run(source: &str) -> Analysis {
-    let cache = ParseCache::new();
     analyze(
         vec![SourceFile {
             path: "crates/cluster/src/shard_demo.rs".to_string(),
             source: source.to_string(),
         }],
         &[],
-        &cache,
     )
 }
 
 #[test]
-fn clean_shard_fanout_passes_determinism() {
+fn clean_shard_fanout_passes_every_rule() {
     let analysis = run(CLEAN);
     let report = &analysis.report;
     assert_eq!(
@@ -112,17 +103,6 @@ fn injected_refcell_mutation_is_flagged_with_blast_radius() {
         .expect("shared-state finding for the RefCell mutation");
     assert_eq!(race.name, "borrow_mut");
     assert!(race.message.contains("parallel_map"), "{}", race.message);
-
-    // The unmet obligation: `par_iter` is replay-critical and the
-    // enclosing function's regions are dirty, so the v3 relaxation does
-    // not apply.
-    let det = report
-        .violations
-        .iter()
-        .find(|v| v.rule == Rule::Determinism)
-        .expect("determinism finding for par_iter in a dirty function");
-    assert_eq!(det.name, "par_iter");
-    assert!(det.message.contains("unresolved"), "{}", det.message);
 
     // Full entry-point blast radius for the race site.
     let site = report

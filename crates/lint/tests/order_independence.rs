@@ -1,21 +1,17 @@
 //! Property: the full analysis is order-independent — clip-lint passes
 //! its own concurrency rules in practice, not just in review. The
-//! pipeline parses file-parallel via `parallel_map` and shares an FNV
-//! parse cache across runs; neither the order the files arrive in nor
-//! the cache's hot/cold state may change a single byte of the JSON
-//! report. (`analyze` sorts sources by path before numbering functions,
-//! which is what makes route selection canonical.)
+//! pipeline parses file-parallel via `parallel_map`; the order the files
+//! arrive in may not change a single byte of the JSON report. (`analyze`
+//! sorts sources by path before numbering functions, which is what makes
+//! route selection canonical.)
 
-use clip_lint::cache::ParseCache;
 use clip_lint::{analyze, SourceFile};
 use proptest::prelude::*;
 
-/// A fixture with findings from every rule generation: v1 per-file
-/// (unit-safety), v2 transitive (panic blast radius), all three v3
-/// concurrency families, and the v4 cost families (a per-epoch `collect`
-/// plus ungated `serde_json` inside the engine's epoch loop, which also
-/// populates the budget table), so the report has non-trivial content in
-/// every section that could depend on traversal order.
+/// A fixture with findings from every pass: per-file (unit-safety,
+/// exhaustiveness), transitive (panic blast radius) and all three
+/// concurrency families, so the report has non-trivial content in every
+/// section that could depend on traversal order.
 fn fixture() -> Vec<SourceFile> {
     let mk = |path: &str, source: &str| SourceFile {
         path: path.to_string(),
@@ -26,13 +22,6 @@ fn fixture() -> Vec<SourceFile> {
             "crates/core/src/sched.rs",
             "impl PowerScheduler for Clip { fn plan(&mut self, budget_watts: f64) { helper(); } }\n\
              fn helper() { let l = BudgetLedger::new(); let xs = vec![1]; let v = xs[0]; }\n",
-        ),
-        mk(
-            "crates/core/src/engine.rs",
-            "pub struct EpochEngine;\nimpl EpochEngine { pub fn run(&mut self) {\n\
-             for epoch in 0..8 { helper();\n\
-             let ids: Vec<u64> = (0..4).collect();\n\
-             let line = serde_json::to_string(&ids); } } }\n",
         ),
         mk(
             "crates/core/src/offline.rs",
@@ -62,20 +51,18 @@ fn fixture() -> Vec<SourceFile> {
     ]
 }
 
-fn report_json(sources: Vec<SourceFile>, cache: &ParseCache) -> String {
-    let analysis = analyze(sources, &[], cache);
+fn report_json(sources: Vec<SourceFile>) -> String {
+    let analysis = analyze(sources, &[]);
     serde_json::to_string_pretty(&analysis.report).expect("report serializes")
 }
 
 proptest! {
-    /// Any permutation of the file list, against a cold cache and against
-    /// a cache pre-warmed by a full prior run, yields the byte-identical
-    /// report.
+    /// Any permutation of the file list yields the byte-identical report.
     #[test]
-    fn shuffled_files_and_cache_state_are_invisible(
-        keys in proptest::collection::vec(any::<u64>(), 6)
+    fn shuffled_files_are_invisible(
+        keys in proptest::collection::vec(any::<u64>(), 5)
     ) {
-        let baseline = report_json(fixture(), &ParseCache::new());
+        let baseline = report_json(fixture());
 
         let files = fixture();
         let mut order: Vec<usize> = (0..files.len()).collect();
@@ -83,16 +70,6 @@ proptest! {
         let shuffled: Vec<SourceFile> =
             order.iter().filter_map(|&i| files.get(i).cloned()).collect();
         prop_assert_eq!(shuffled.len(), files.len());
-
-        // Cold cache, shuffled input.
-        let cold = report_json(shuffled.clone(), &ParseCache::new());
-        prop_assert_eq!(&cold, &baseline);
-
-        // Hot cache: every parse is a hit the second time around.
-        let cache = ParseCache::new();
-        let _ = report_json(fixture(), &cache);
-        let hot = report_json(shuffled, &cache);
-        prop_assert_eq!(&hot, &baseline);
-        prop_assert!(cache.stats().hits >= 6, "second run must hit the cache");
+        prop_assert_eq!(report_json(shuffled), baseline);
     }
 }

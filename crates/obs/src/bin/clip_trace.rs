@@ -27,10 +27,10 @@
 //! byte-for-byte what that sink would have written — existing JSONL
 //! tooling and golden FNV pins keep working against exported traces.
 //!
-//! A binary trace cut short or corrupted part-way still reports: every
-//! command runs on the records before the first frame that fails to
-//! decode, prints `N byte(s) after record K not decoded: <error>` to
-//! stderr, and exits 2.
+//! A trace cut short or corrupted part-way still reports, binary or
+//! JSONL: every command runs on the records before the first frame or
+//! line that fails to decode, prints `N byte(s) after record K not
+//! decoded: <error>` to stderr, and exits 2.
 //!
 //! Exits 0 on success, 2 on usage, I/O or parse errors, or a trace that
 //! did not decode whole.
@@ -129,39 +129,55 @@ struct PoolRow {
     granted: Power,
 }
 
-/// Load a trace's records, and whether it decoded whole. A binary trace
-/// that ends in bytes which do not decode (a run cut off mid-flush, a
-/// corrupt frame) yields the records before them; the loss is reported on
+/// Load a trace's records, and whether it decoded whole. A trace that
+/// ends in bytes which do not decode (a run cut off mid-flush, a corrupt
+/// frame or line) yields the records before them; the loss is reported on
 /// stderr and the command still runs on that prefix.
 fn load(path: &str) -> Result<(Vec<TraceRecord>, bool), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let (records, loss) = if wire::is_binary_trace(&bytes) {
-        wire::decode_stream(&bytes).map_err(|e| format!("{path}: {e}"))?
+        let (records, loss) = wire::decode_stream(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        (records, loss.map(|l| (l.bytes, l.error.to_string())))
     } else {
-        let text = String::from_utf8(bytes).map_err(|e| format!("{path}: {e}"))?;
-        let mut records = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec: TraceRecord =
-                serde_json::from_str(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-            records.push(rec);
-        }
-        (records, None)
+        jsonl_records(&bytes)
     };
-    if let Some(loss) = &loss {
+    if let Some((lost, error)) = &loss {
         eprintln!(
-            "clip-trace: {path}: {} byte(s) after record {} not decoded: {}",
-            loss.bytes,
-            records.len(),
-            loss.error
+            "clip-trace: {path}: {lost} byte(s) after record {} not decoded: {error}",
+            records.len()
         );
     }
     if records.is_empty() {
         return Err(format!("{path}: no trace records"));
     }
     Ok((records, loss.is_none()))
+}
+
+/// Parse JSONL records up to the first line that fails: the records
+/// before it, plus the undecoded byte count and error from that line on.
+fn jsonl_records(bytes: &[u8]) -> (Vec<TraceRecord>, Option<(usize, String)>) {
+    let mut records = Vec::new();
+    let mut offset = 0;
+    for (lineno, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        let parsed = std::str::from_utf8(line)
+            .map_err(|e| e.to_string())
+            .and_then(|text| match text.trim() {
+                "" => Ok(None),
+                json => serde_json::from_str(json)
+                    .map(Some)
+                    .map_err(|e| e.to_string()),
+            });
+        match parsed {
+            Ok(Some(rec)) => records.push(rec),
+            Ok(None) => {}
+            Err(e) => {
+                let loss = (bytes.len() - offset, format!("line {}: {e}", lineno + 1));
+                return (records, Some(loss));
+            }
+        }
+        offset += line.len();
+    }
+    (records, None)
 }
 
 /// Slice a record stream into runs at `RunStarted` boundaries. Records
@@ -820,5 +836,42 @@ fn main() -> ExitCode {
             eprintln!("clip-trace: {msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(seq: u64) -> String {
+        let rec = TraceRecord {
+            seq,
+            epoch: seq,
+            event: TraceEvent::PoolScaled {
+                nodes_before: 4,
+                nodes_after: 8,
+                granted: Power::watts(900.0),
+            },
+        };
+        serde_json::to_string(&rec).expect("a record serializes") + "\n"
+    }
+
+    #[test]
+    fn a_whole_jsonl_trace_decodes_without_loss() {
+        let text = line(0) + "\n" + &line(1);
+        let (records, loss) = jsonl_records(text.as_bytes());
+        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1]);
+        assert!(loss.is_none());
+    }
+
+    #[test]
+    fn a_cut_jsonl_trace_keeps_the_lines_before_the_cut() {
+        let whole = line(0) + &line(1) + &line(2);
+        let cut = &whole.as_bytes()[..whole.len() - 3];
+        let (records, loss) = jsonl_records(cut);
+        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1]);
+        let (lost, error) = loss.expect("the cut line is reported");
+        assert_eq!(lost, line(2).len() - 3);
+        assert!(error.starts_with("line 3: "), "{error}");
     }
 }

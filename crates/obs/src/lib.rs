@@ -10,8 +10,8 @@
 //!
 //! - [`metrics`]: counters, gauges and fixed-bucket histograms keyed by
 //!   `BTreeMap`, with Prometheus text exposition. No `HashMap`, no
-//!   `Instant`: the registry passes clip-lint's determinism rule and
-//!   serializes identically across identically seeded runs.
+//!   `Instant` (clippy's `disallowed_types` bans both under `crates/`):
+//!   the registry serializes identically across identically seeded runs.
 //! - [`event`]: a structured [`TraceEvent`] for every scheduler decision
 //!   point — coordinate, allocate, per-node plan, fault application,
 //!   re-coordination, RAPL/DVFS actuation — stamped with the sim clock,

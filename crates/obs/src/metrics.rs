@@ -1,9 +1,9 @@
 //! The deterministic metric registry: counters, gauges, histograms.
 //!
-//! Everything is keyed by `BTreeMap` and advances only with the sim clock,
-//! so the registry passes `clip-lint`'s determinism rule (no `HashMap`, no
-//! `Instant`) and serializes identically across identically seeded runs —
-//! a [`MetricRegistry`] snapshot is part of the byte-stable trace.
+//! Everything is keyed by `BTreeMap` and advances only with the sim clock
+//! (no `HashMap`, no `Instant`: `crates/clippy.toml` bans both), so the
+//! registry serializes identically across identically seeded runs — a
+//! [`MetricRegistry`] snapshot is part of the byte-stable trace.
 //!
 //! Histograms use *fixed* bucket bounds chosen at registration: observing
 //! never reallocates or rebalances, so the memory profile of a long run is

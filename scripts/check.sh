@@ -7,6 +7,9 @@
 # surface in editors, but are allowed here: the hard gate for panic
 # freedom is clip-lint, which scopes the rules to library code and
 # requires a reasoned allowlist entry for every intentional escape.
+# crates/clippy.toml bans the types that break replay (HashMap, HashSet,
+# Instant, SystemTime) in every crate under crates/; -D warnings makes
+# each use a failure here.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,22 +33,20 @@ cargo clippy --workspace --all-targets --offline -- -D warnings \
     -A clippy::indexing_slicing \
     -A clippy::panic
 
-echo "==> clip-lint (schema gate + SARIF + wall-time ratchet)"
+echo "==> clip-lint (schema gate + wall-time ratchet)"
 # The report schema version is pinned by the golden test and
 # double-checked here — `--schema-version` prints the bare number, so the
-# gate no longer greps the JSON report. The analysis run writes its
-# wall-time and parse-cache stats to target/clip-lint-timings.json; the
-# ratchet below records them into BENCH_lint.json and fails the build if
-# the analyzer has grown past 2x its pinned wall-time baseline.
+# gate no longer greps the JSON report. The analysis run writes its wall
+# time and file count to target/clip-lint-timings.json; the ratchet below
+# records them into BENCH_lint.json and fails the build if the analyzer
+# has grown past 2x its pinned wall-time baseline.
 report_version="$(cargo run -p clip-lint --offline --quiet -- --schema-version)"
-if [ "$report_version" != "4" ]; then
-    echo "clip-lint report schema drifted: version=$report_version, expected 4" >&2
+if [ "$report_version" != "5" ]; then
+    echo "clip-lint report schema drifted: version=$report_version, expected 5" >&2
     echo "(update crates/lint/tests/golden_json.rs and this gate together)" >&2
     exit 1
 fi
-cargo run -p clip-lint --offline --quiet -- \
-    --sarif target/clip-lint.sarif --timings target/clip-lint-timings.json
-test -s target/clip-lint.sarif || { echo "missing target/clip-lint.sarif" >&2; exit 1; }
+cargo run -p clip-lint --offline --quiet -- --timings target/clip-lint-timings.json
 RECORD_BENCH="$record_bench" python3 - <<'PY'
 import json, os, sys
 
@@ -67,8 +68,8 @@ with open(out, "w") as f:
     json.dump(bench, f, indent=2)
     f.write("\n")
 print(
-    f"    lint ok: {cur['wall_ms']:.1f} ms (limit {limit:.1f} ms), "
-    f"cache hit-rate {cur['cache_hit_rate']:.0%} over {cur['files_scanned']} files"
+    f"    lint ok: {cur['wall_ms']:.1f} ms (limit {limit:.1f} ms) "
+    f"over {cur['files_scanned']} files"
     + (" [recorded]" if os.environ.get("RECORD_BENCH") == "1" else "")
 )
 PY
@@ -120,12 +121,12 @@ for workload in bench["workloads"]:
     print(f"    {name} ok: {result['attempted']} rounds, 0 failed")
 PY
 
-# clip-lint's hot set stops at the planning boundary, so no static rule
-# sees allocations creep back into plan calls. A span run counts every
-# allocation, and the counts repeat exactly for a seed, so each
-# workload's `plan.allocs_per_call` and `alloc.per_epoch` are ceilings
-# here, pinned at their exact counts rounded up at two decimals.
-# A change that removes allocations lowers its workload's ceilings.
+# The tree's one per-epoch allocation check. A span run counts every
+# allocation, planning included, and the counts repeat exactly for a
+# seed, so each workload's `plan.allocs_per_call` and `alloc.per_epoch`
+# are ceilings here, pinned at their exact counts rounded up at two
+# decimals. A change that removes allocations lowers its workload's
+# ceilings.
 echo "==> allocation ceilings (every workload, 1 s span run at seed 2017)"
 python3 - <<'PY'
 import json, subprocess, sys
@@ -314,11 +315,26 @@ if [ "$cut_status" -ne 2 ] \
     cat target/service-smoke-cut.err >&2
     exit 1
 fi
+# The same salvage for JSONL: the export cut by 3 bytes loses its last
+# line, so it summarizes as the export minus that line, names the
+# undecoded bytes, and exits 2.
+jsonl_cut="target/service-smoke-cut.jsonl"
+head -c -3 "$svc_export" > "$jsonl_cut"
+jsonl_summary="$(target/release/clip-trace summary "$jsonl_cut" 2> target/service-smoke-cut-jsonl.err)" \
+    && jsonl_status=0 || jsonl_status=$?
+jsonl_loss="byte(s) after record $((svc_records - 1)) not decoded: line ${svc_records}:"
+if [ "$jsonl_status" -ne 2 ] \
+    || [ "$(tail -n +2 <<< "$jsonl_summary")" != "$(tail -n +2 <<< "$prefix_summary")" ] \
+    || ! grep -qF "$jsonl_loss" target/service-smoke-cut-jsonl.err; then
+    echo "clip-trace did not salvage the cut service export (exit ${jsonl_status}):" >&2
+    cat target/service-smoke-cut-jsonl.err >&2
+    exit 1
+fi
 svc_limit_ms=$((svc_plain_ms * 2 + 10))
 if [ "$svc_traced_ms" -gt "$svc_limit_ms" ]; then
     echo "service tracing overhead too high: traced ${svc_traced_ms} ms vs untraced ${svc_plain_ms} ms (limit ${svc_limit_ms} ms)" >&2
     exit 1
 fi
-echo "    service ok:${svc_seq#*:}, untraced ${svc_plain_ms} ms, traced ${svc_traced_ms} ms (limit ${svc_limit_ms} ms), cut trace kept $((svc_records - 1)) of ${svc_records} records"
+echo "    service ok:${svc_seq#*:}, untraced ${svc_plain_ms} ms, traced ${svc_traced_ms} ms (limit ${svc_limit_ms} ms), cut trace and cut export each kept $((svc_records - 1)) of ${svc_records} records"
 
 echo "All checks passed."
