@@ -16,22 +16,22 @@
 //! the participating nodes' averages; idle (non-participating) nodes are
 //! reported separately.
 //!
-//! A job is its ranks, each executed or replayed, and one function turns
-//! the ranks' reports into the [`JobReport`]: the barrier blend, the
-//! per-rank trace events and the totals. [`run_job`] executes every rank.
-//! A [`JobMemo`] keeps the last job's rank reports and replays them
-//! ([`simnode::Node::replay`]) when the next job repeats it: the same nodes,
-//! threads, policy, iterations and per-rank workload, on nodes with the
-//! same caps and [`PowerState`]. Only the RAPL accounting runs again, so
-//! the report, the trace and every counter are what executing would give.
+//! [`run_job`] executes every rank, blends the ranks' reports into the
+//! [`JobReport`] (the barrier blend and the totals), then emits the
+//! per-rank trace events. A [`JobMemo`] keeps the last job's whole report
+//! and replays it in place when the next job repeats it: the same nodes,
+//! threads, policy, iterations, per-rank workload, app name and
+//! communication model, on nodes with the same caps and [`PowerState`].
+//! Only the RAPL accounting runs again, into the stored report, so the
+//! report, the trace and every counter are what executing would give.
 
 use crate::fleet::Cluster;
 use serde::{Deserialize, Serialize};
 use simkit::{Power, TimeSpan};
-use simnode::{AffinityPolicy, ExecutionReport, Node, PowerCaps, PowerState};
+use simnode::{AffinityPolicy, ExecutionReport, PowerCaps, PowerState};
 use std::borrow::Cow;
 use std::sync::Arc;
-use workload::{AppModel, Phase, RankInputs};
+use workload::{AppModel, CommModel, Phase, RankInputs};
 
 /// What to run and how.
 #[derive(Debug, Clone)]
@@ -261,62 +261,35 @@ pub fn run_job<R: clip_obs::Recorder>(
     rec: &mut R,
 ) -> JobReport {
     check_spec(cluster, spec);
-    execute_ranks(cluster, spec, epoch, rec)
+    let report = execute_ranks(cluster, spec, Vec::new());
+    emit_rank_frames(cluster, &report, epoch, rec);
+    report
 }
 
-/// [`run_job`] after its spec checks: execute every rank under its own
-/// node's caps.
-fn execute_ranks<R: clip_obs::Recorder>(
+/// [`run_job`] between its spec checks and its frames: execute every rank
+/// under its own node's caps, blend busy and barrier-wait power, and sum
+/// the totals. The outcomes are written into `per_node`, cleared first, so
+/// a caller can hand back a spent report's buffer.
+fn execute_ranks(
     cluster: &mut Cluster,
     spec: &JobSpec<'_>,
-    epoch: u64,
-    rec: &mut R,
+    mut per_node: Vec<NodeOutcome>,
 ) -> JobReport {
     let rank = spec.app.per_rank(spec.node_ids.len());
-    let ranks = spec.node_ids.iter().map(|&id| (id, ()));
-    report_ranks(cluster, spec, epoch, rec, ranks, |node, ()| {
-        node.execute(&rank, spec.threads_per_node, spec.policy, spec.iterations)
-    })
-}
-
-/// Build a job's report from its ranks: `ranks` lists each rank's node in
-/// `spec.node_ids` order with what `rank_report` needs to produce the
-/// rank's report on that node, and this function owns everything after
-/// that. It emits each rank's `DvfsResolved` event, blends busy and
-/// barrier-wait power, emits the `NodePowerSample` events and
-/// `node_wait_fraction` observations, and sums the totals.
-fn report_ranks<R: clip_obs::Recorder, T>(
-    cluster: &mut Cluster,
-    spec: &JobSpec<'_>,
-    epoch: u64,
-    rec: &mut R,
-    ranks: impl Iterator<Item = (usize, T)>,
-    mut rank_report: impl FnMut(&mut Node, T) -> ExecutionReport,
-) -> JobReport {
     // Each rank's report; the barrier blend below fills in each outcome's
     // wait fraction and average power.
-    let mut per_node: Vec<NodeOutcome> = ranks
-        .map(|(id, input)| {
-            let report = rank_report(cluster.node_mut(id), input);
-            if rec.enabled_for(clip_obs::EventClass::Actuation) {
-                let op = &report.op;
-                rec.event_with(epoch, clip_obs::EventClass::Actuation, || {
-                    clip_obs::TraceEvent::DvfsResolved {
-                        node: id,
-                        threads: op.threads(),
-                        frequency: op.frequency(),
-                        throttled: op.speed.is_throttled(),
-                    }
-                });
-            }
-            NodeOutcome {
-                node_id: id,
-                report,
-                wait_fraction: 0.0,
-                avg_power: Power::ZERO,
-            }
-        })
-        .collect();
+    per_node.clear();
+    per_node.extend(spec.node_ids.iter().map(|&id| NodeOutcome {
+        node_id: id,
+        report: cluster.node_mut(id).execute(
+            &rank,
+            spec.threads_per_node,
+            spec.policy,
+            spec.iterations,
+        ),
+        wait_fraction: 0.0,
+        avg_power: Power::ZERO,
+    }));
 
     let busy_max = per_node
         .iter()
@@ -347,21 +320,6 @@ fn report_ranks<R: clip_obs::Recorder, T>(
         .map(|n| n.avg_power)
         .fold(Power::ZERO, Power::max);
 
-    if rec.enabled() {
-        for n in &per_node {
-            let caps = cluster.node(n.node_id).caps();
-            rec.event_with(epoch, clip_obs::EventClass::Actuation, || {
-                clip_obs::TraceEvent::NodePowerSample {
-                    node: n.node_id,
-                    setpoint: caps.cpu + caps.dram,
-                    measured: n.avg_power,
-                    wait_fraction: n.wait_fraction,
-                }
-            });
-            rec.observe("node_wait_fraction", n.wait_fraction);
-        }
-    }
-
     JobReport {
         app_name: Arc::clone(spec.app.shared_name()),
         nodes_used: spec.node_ids.len(),
@@ -376,13 +334,55 @@ fn report_ranks<R: clip_obs::Recorder, T>(
     }
 }
 
+/// Emit a finished job's per-rank frames, in rank order: each rank's
+/// `DvfsResolved`, then each rank's `NodePowerSample` (its programmed
+/// caps, read off the node, against its blended power) and its
+/// `node_wait_fraction` observation. [`run_job`] calls it after the
+/// barrier blend and a [`JobMemo`] hit on its replayed report, so both
+/// emit the same frames.
+fn emit_rank_frames<R: clip_obs::Recorder>(
+    cluster: &Cluster,
+    report: &JobReport,
+    epoch: u64,
+    rec: &mut R,
+) {
+    if rec.enabled_for(clip_obs::EventClass::Actuation) {
+        for n in &report.per_node {
+            let op = &n.report.op;
+            rec.event_with(epoch, clip_obs::EventClass::Actuation, || {
+                clip_obs::TraceEvent::DvfsResolved {
+                    node: n.node_id,
+                    threads: op.threads(),
+                    frequency: op.frequency(),
+                    throttled: op.speed.is_throttled(),
+                }
+            });
+        }
+    }
+    if rec.enabled() {
+        for n in &report.per_node {
+            let caps = cluster.node(n.node_id).caps();
+            rec.event_with(epoch, clip_obs::EventClass::Actuation, || {
+                clip_obs::TraceEvent::NodePowerSample {
+                    node: n.node_id,
+                    setpoint: caps.cpu + caps.dram,
+                    measured: n.avg_power,
+                    wait_fraction: n.wait_fraction,
+                }
+            });
+            rec.observe("node_wait_fraction", n.wait_fraction);
+        }
+    }
+}
+
 /// The scalar half of a [`JobMemo`]'s key.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct JobShape {
     threads_per_node: usize,
     policy: AffinityPolicy,
     iterations: usize,
     odd_penalty: f64,
+    comm: CommModel,
 }
 
 impl JobShape {
@@ -392,74 +392,80 @@ impl JobShape {
             policy: spec.policy,
             iterations: spec.iterations,
             odd_penalty: inputs.odd_penalty(),
+            comm: spec.app.comm().clone(),
         }
     }
 }
 
-/// One rank of the memoized job: its node, what the node's execution read
-/// from it, and the report it produced.
+/// One rank of the memoized job: its node and what the node's execution
+/// read from it.
 #[derive(Debug, Clone, Copy)]
 struct RankMemo {
     node_id: usize,
     caps: PowerCaps,
     state: PowerState,
-    report: ExecutionReport,
 }
 
-/// The last job's per-rank reports, kept so that a job repeating it
-/// replays every rank instead of simulating it again.
+/// The last job's whole [`JobReport`], kept so that a job repeating it is
+/// replayed in place instead of simulated again.
 ///
-/// The key is everything a rank's execution reads: the node ids in order,
+/// The key is every input the report reads: the node ids in order,
 /// threads, policy and iterations; each participant's programmed caps and
-/// [`PowerState`]; and the app's [`RankInputs`] (its phases and
-/// odd-concurrency penalty). The app's name and communication model are
-/// not in it, since the report body recomputes them on every job. A *hit*
-/// (the key matches) replays every rank; a *miss* runs the job as
-/// [`run_job`] does and refills the memo's buffers in place. Floats in the
-/// key compare with `==`, so a NaN input never hits.
+/// [`PowerState`]; the app's [`RankInputs`] (its phases and
+/// odd-concurrency penalty); and the app's name and communication model.
+/// A *hit* (the key matches) re-accounts each rank's interval through its
+/// node's RAPL counters ([`simnode::Node::replay`]) into the stored report
+/// and emits the frames [`run_job`] would. Nothing else is rebuilt: with
+/// the key equal, only each rank's `pkg_energy` and `dram_energy` can
+/// differ from the stored report. That rests on what [`PowerState`]
+/// documents: the barrier blend's other inputs (a node's idle socket and
+/// DRAM base power, its socket count) are fixed when the node is built.
+/// A *miss* runs the job as [`run_job`] does, and its report replaces the
+/// stored one. Floats in the key compare with `==`, so a NaN input never
+/// hits.
 #[derive(Debug, Default)]
 pub struct JobMemo {
     shape: Option<JobShape>,
     phases: Vec<Phase>,
     ranks: Vec<RankMemo>,
+    report: Option<JobReport>,
 }
 
 impl JobMemo {
-    /// Run `spec` as [`run_job`] does, replaying the last job's ranks when
-    /// the key matches. The report, trace events and RAPL counters are
-    /// bit-identical to [`run_job`]'s either way, and it panics where
-    /// [`run_job`] does, hit or miss.
+    /// Run `spec` as [`run_job`] does, replaying the last job in place
+    /// when the key matches, and return the report the memo now holds.
+    /// The report, trace events and RAPL counters are bit-identical to
+    /// [`run_job`]'s either way, and it panics where [`run_job`] does, hit
+    /// or miss.
     pub fn run_or_replay<R: clip_obs::Recorder>(
         &mut self,
         cluster: &mut Cluster,
         spec: &JobSpec<'_>,
         epoch: u64,
         rec: &mut R,
-    ) -> JobReport {
-        if self.replays(cluster, spec) {
-            // The memoized ranks are the spec's nodes, in order. The call
-            // is spelled out so clip-lint's call graph sees it.
-            let ranks = self.ranks.iter().map(|rank| (rank.node_id, &rank.report));
-            return report_ranks(cluster, spec, epoch, rec, ranks, |node, last| {
-                node.replay(last)
-            });
-        }
-        let report = execute_ranks(cluster, spec, epoch, rec);
-        let inputs = spec.app.rank_inputs();
-        self.shape = Some(JobShape::of(spec, &inputs));
-        self.phases.clear();
-        self.phases.extend_from_slice(inputs.phases());
-        self.ranks.clear();
-        self.ranks.extend(report.per_node.iter().map(|n| {
-            let node = cluster.node(n.node_id);
-            RankMemo {
-                node_id: n.node_id,
-                caps: node.caps(),
-                state: node.power_state(),
-                report: n.report,
+    ) -> &JobReport {
+        let hit = self.replays(cluster, spec);
+        let report = match self.report.take() {
+            Some(mut last) if hit => {
+                for n in &mut last.per_node {
+                    n.report = cluster.node_mut(n.node_id).replay(&n.report);
+                }
+                last
             }
-        }));
-        report
+            last => {
+                let spent = last.map(|r| r.per_node).unwrap_or_default();
+                let report = execute_ranks(cluster, spec, spent);
+                self.remember(cluster, spec);
+                report
+            }
+        };
+        emit_rank_frames(cluster, &report, epoch, rec);
+        self.report.insert(report)
+    }
+
+    /// The report of the last job run through the memo, if any.
+    pub fn last(&self) -> Option<&JobReport> {
+        self.report.as_ref()
     }
 
     /// Whether running `spec` on `cluster` now would replay the memoized
@@ -469,6 +475,10 @@ impl JobMemo {
         check_spec(cluster, spec);
         let inputs = spec.app.rank_inputs();
         self.shape == Some(JobShape::of(spec, &inputs))
+            && self
+                .report
+                .as_ref()
+                .is_some_and(|r| *r.app_name == *spec.app.name())
             && self.phases.iter().eq(inputs.phases())
             && self.ranks.len() == spec.node_ids.len()
             && self
@@ -481,6 +491,23 @@ impl JobMemo {
                         && rank.caps == node.caps()
                         && rank.state == node.power_state()
                 })
+    }
+
+    /// Refill the key from `spec` and its nodes as they now stand.
+    fn remember(&mut self, cluster: &Cluster, spec: &JobSpec<'_>) {
+        let inputs = spec.app.rank_inputs();
+        self.shape = Some(JobShape::of(spec, &inputs));
+        self.phases.clear();
+        self.phases.extend_from_slice(inputs.phases());
+        self.ranks.clear();
+        self.ranks.extend(spec.node_ids.iter().map(|&id| {
+            let node = cluster.node(id);
+            RankMemo {
+                node_id: id,
+                caps: node.caps(),
+                state: node.power_state(),
+            }
+        }));
     }
 }
 

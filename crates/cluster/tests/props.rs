@@ -8,7 +8,7 @@ use cluster_sim::{
 use proptest::prelude::*;
 use simkit::{Power, SimRng, TimeSpan};
 use simnode::{AffinityPolicy, PowerCaps};
-use workload::corpus;
+use workload::{corpus, AppModel, CommModel};
 
 fn policy_strategy() -> impl Strategy<Value = AffinityPolicy> {
     prop_oneof![Just(AffinityPolicy::Compact), Just(AffinityPolicy::Scatter)]
@@ -173,8 +173,9 @@ proptest! {
     /// A job memo run after run gives `run_job`'s report and leaves every
     /// node's RAPL registers and accounted time where `run_job` leaves
     /// them, bit for bit, whatever changes between runs: a node's caps,
-    /// jitter or efficiency, or the node set. A run that changes nothing
-    /// replays.
+    /// jitter or efficiency, the node set, or only the app's name or only
+    /// its communication model. A run that changes nothing replays, and a
+    /// run that changes only the name or the communication model misses.
     #[test]
     fn memo_replay_matches_run_job(
         seed in any::<u64>(),
@@ -184,12 +185,12 @@ proptest! {
         policy in policy_strategy(),
         cap_cpu in 60.0f64..200.0,
         steps in prop::collection::vec(
-            (0u8..6, 0usize..8, 60.0f64..200.0, -0.08f64..0.08, 0.9f64..1.1),
+            (0u8..8, 0usize..8, 60.0f64..200.0, -0.08f64..0.08, 0.9f64..1.1),
             1..16,
         ),
     ) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let app = corpus::gen_mixed(&mut rng, 0);
+        let mut app = corpus::gen_mixed(&mut rng, 0);
         let mut memoized =
             Cluster::with_variability(8, &VariabilityModel::with_sigma(sigma), seed);
         memoized.set_uniform_caps(PowerCaps::new(Power::watts(cap_cpu), Power::watts(25.0)));
@@ -207,14 +208,27 @@ proptest! {
                     _ => {}
                 }
             }
-            if kind == 5 {
-                match node_ids.iter().position(|&id| id == node) {
+            match kind {
+                5 => match node_ids.iter().position(|&id| id == node) {
                     Some(at) if node_ids.len() > 1 => {
                         node_ids.remove(at);
                     }
                     Some(_) => {}
                     None => node_ids.push(node),
+                },
+                6 => {
+                    app = AppModel::new(format!("{}'", app.name()), app.phases().to_vec())
+                        .with_odd_penalty(app.odd_penalty())
+                        .with_comm(app.comm().clone());
                 }
+                7 => {
+                    let comm = CommModel {
+                        alpha: app.comm().alpha + 1e-3,
+                        ..app.comm().clone()
+                    };
+                    app = app.with_comm(comm);
+                }
+                _ => {}
             }
             let spec = JobSpec {
                 app: &app,
@@ -225,6 +239,9 @@ proptest! {
             };
             if step > 0 && kind < 2 {
                 prop_assert!(memo.replays(&memoized, &spec), "step {step} repeats");
+            }
+            if kind >= 6 {
+                prop_assert!(!memo.replays(&memoized, &spec), "step {step} changes the app");
             }
             let got = memo.run_or_replay(&mut memoized, &spec, 0, &mut clip_obs::NoopRecorder);
             let want = run_job(&mut twin, &spec, 0, &mut clip_obs::NoopRecorder);

@@ -16,7 +16,8 @@
 //! 4. RAPL/DVFS actuation + job execution: the plan is programmed as
 //!    [`crate::execute_plan`] programs it, and the job runs through the
 //!    engine's [`JobMemo`], so an epoch that repeats the last one on nodes
-//!    in the same state replays its ranks instead of simulating them;
+//!    in the same state replays the memo's report in place instead of
+//!    simulating its ranks;
 //! 5. ledger plan audit and actuation audit (injected jitter classified,
 //!    not punished);
 //! 6. trace/metric emission, gated on [`Recorder::enabled`].
@@ -25,10 +26,15 @@
 //! accounting ([`crate::degrade::FaultTimeline`]), job arbitration
 //! (`dispatch`/`multijob` drive [`EpochEngine::coordinate`] and
 //! [`EpochEngine::execute`] directly), and epoch-level phase transitions
-//! ([`PhaseSchedule`]). The recorder is a generic parameter end-to-end:
-//! with [`NoopRecorder`] every hook compiles away, and a borrowed
-//! `&mut TraceRecorder` works through the blanket `Recorder for &mut R`
-//! impl. The golden FNV trace pin and the bit-identical replay tests prove
+//! ([`PhaseSchedule`]). Execute and settle come in two pairs that share
+//! one settle: [`EpochEngine::execute`] returns a copy of the report for
+//! callers that keep it, and [`EpochEngine::settle_epoch`] takes one; the
+//! epoch loop of [`EpochEngine::run`] and the rack pool of
+//! [`crate::run_sharded`] leave the report in the memo and settle from
+//! there, so a steady epoch copies no report. The recorder is a generic
+//! parameter end-to-end: with [`NoopRecorder`] every hook compiles away,
+//! and a borrowed `&mut TraceRecorder` works through the blanket
+//! `Recorder for &mut R` impl. The golden FNV trace pin and the bit-identical replay tests prove
 //! the engine reproduces the pre-refactor harness byte for byte.
 
 use crate::audit::{ActuationCheck, BudgetLedger};
@@ -37,6 +43,7 @@ use clip_obs::{NoopRecorder, Recorder};
 use cluster_sim::{Cluster, JobMemo, JobReport};
 use serde::{Deserialize, Serialize};
 use simkit::{Power, TimeSpan};
+use std::sync::Arc;
 use workload::AppModel;
 
 /// How long and how densely to run the epoch loop.
@@ -64,8 +71,9 @@ pub struct EpochRecord {
     pub epoch: usize,
     /// Whether the scheduler re-planned at this epoch's boundary.
     pub replanned: bool,
-    /// Nodes that executed this epoch.
-    pub node_ids: Vec<usize>,
+    /// Nodes that executed this epoch, shared with every other record
+    /// made under the same plan's node set.
+    pub node_ids: Arc<[usize]>,
     /// Sum of the programmed caps this epoch.
     pub caps_total: Power,
     /// Measured (barrier-blended) cluster power.
@@ -366,6 +374,9 @@ pub struct RunState {
     // The staged app override for the current epoch, re-cloned only when
     // the policy switches phases (clone-on-change).
     staged: Option<AppModel>,
+    // The live plan's node ids, shared by the epoch records made under
+    // them; replaced only when the plan's ids change.
+    node_ids: Arc<[usize]>,
     epochs: Vec<EpochRecord>,
     recoveries: Vec<Recovery>,
     injected_overshoots: usize,
@@ -406,6 +417,81 @@ impl RunState {
     /// Per-epoch records so far.
     pub fn epochs(&self) -> &[EpochRecord] {
         &self.epochs
+    }
+
+    /// The settle phase both [`EpochEngine::settle_epoch`] and
+    /// [`EpochEngine::settle_in_place`] run, with the engine's recorder
+    /// and budget lent apart from the report, which the in-place path
+    /// borrows from the engine's memo.
+    fn settle<R: Recorder, P: EpochPolicy<R> + ?Sized>(
+        &mut self,
+        rec: &mut R,
+        budget: Power,
+        prep: EpochPrep,
+        report: &JobReport,
+        policy: &mut P,
+        epoch: usize,
+    ) {
+        let ep = epoch as u64;
+        self.degraded_time = report.total_time;
+
+        let injected_overshoot = match BudgetLedger::new(&self.name, prep.budget)
+            .with_injected_jitter(prep.jitter)
+            .audit_actuation(&self.plan, report.cluster_power, ep, rec)
+        {
+            ActuationCheck::Nominal => false,
+            ActuationCheck::InjectedJitter => {
+                self.injected_overshoots += 1;
+                true
+            }
+        };
+
+        if rec.enabled() {
+            rec.counter_add("epochs_total", 1);
+            if prep.replanned {
+                rec.counter_add("replans_total", 1);
+            }
+            rec.observe("epoch_time_secs", report.total_time.as_secs());
+            if budget.as_watts() > 0.0 {
+                rec.observe(
+                    "budget_utilization",
+                    report.cluster_power.as_watts() / budget.as_watts(),
+                );
+            }
+            let caps_total = self.plan.total_caps();
+            let measured = report.cluster_power;
+            let performance = report.performance();
+            let wall = report.total_time;
+            let replanned = prep.replanned;
+            rec.event_with(ep, clip_obs::EventClass::Scheduler, || {
+                clip_obs::TraceEvent::EpochCompleted {
+                    budget,
+                    caps_total,
+                    measured,
+                    performance,
+                    wall,
+                    replanned,
+                }
+            });
+        }
+
+        if *self.node_ids != *self.plan.node_ids {
+            self.node_ids = Arc::from(self.plan.node_ids.as_slice());
+        }
+        self.epochs.push(EpochRecord {
+            epoch,
+            replanned: prep.replanned,
+            node_ids: Arc::clone(&self.node_ids),
+            caps_total: self.plan.total_caps(),
+            measured_power: report.cluster_power,
+            performance: report.performance(),
+            epoch_time: report.total_time,
+            events_applied: prep.boundary.events_applied,
+            events_ignored: prep.boundary.events_ignored,
+            injected_overshoot,
+        });
+
+        policy.epoch_settled(report, epoch, rec);
     }
 }
 
@@ -511,9 +597,11 @@ impl<R: Recorder> EpochEngine<R> {
     /// Actuate and execute a plan at the current epoch stamp: program the
     /// caps (RAPL) as [`crate::execute_plan`] does, then run the job
     /// through the engine's [`JobMemo`]. A job that repeats the engine's
-    /// last one, on nodes with the same caps and power state, replays its
-    /// ranks. The report, trace events and RAPL counters are the ones
-    /// `execute_plan` gives either way.
+    /// last one, on nodes with the same caps and power state, is replayed
+    /// in place. The report, trace events and RAPL counters are the ones
+    /// `execute_plan` gives either way. Returns a copy of the report the
+    /// memo keeps; [`EpochEngine::run`] and the rack pool of
+    /// [`crate::run_sharded`] settle from the memo's report instead.
     pub fn execute(
         &mut self,
         cluster: &mut Cluster,
@@ -521,6 +609,19 @@ impl<R: Recorder> EpochEngine<R> {
         plan: &SchedulePlan,
         iterations: usize,
     ) -> JobReport {
+        self.execute_in_place(cluster, app, plan, iterations)
+            .clone()
+    }
+
+    /// [`EpochEngine::execute`] without the copy: the report stays in the
+    /// engine's memo, where [`EpochEngine::settle_in_place`] reads it.
+    pub(crate) fn execute_in_place(
+        &mut self,
+        cluster: &mut Cluster,
+        app: &AppModel,
+        plan: &SchedulePlan,
+        iterations: usize,
+    ) -> &JobReport {
         let spec = program_plan(cluster, app, plan, iterations, self.epoch, &mut self.rec);
         self.memo
             .run_or_replay(cluster, &spec, self.epoch, &mut self.rec)
@@ -557,13 +658,13 @@ impl<R: Recorder> EpochEngine<R> {
         let mut state = self.begin_run(scheduler, cluster, app, policy, cfg);
         for epoch in 0..cfg.epochs {
             let prep = self.prepare_epoch(&mut state, scheduler, cluster, app, policy, epoch);
-            let report = self.execute(
+            self.execute_in_place(
                 cluster,
                 state.staged().unwrap_or(app),
                 &state.plan,
                 cfg.iterations_per_epoch,
             );
-            self.settle_epoch(&mut state, prep, &report, policy, epoch);
+            self.settle_in_place(&mut state, prep, policy, epoch);
         }
         self.finish_run(state, scheduler, cluster)
     }
@@ -609,6 +710,7 @@ impl<R: Recorder> EpochEngine<R> {
         );
         RunState {
             name,
+            node_ids: Arc::from(plan.node_ids.as_slice()),
             plan,
             staged,
             epochs: Vec::with_capacity(cfg.epochs),
@@ -751,66 +853,22 @@ impl<R: Recorder> EpochEngine<R> {
         policy: &mut P,
         epoch: usize,
     ) {
-        let ep = epoch as u64;
-        state.degraded_time = report.total_time;
+        state.settle(&mut self.rec, self.budget, prep, report, policy, epoch);
+    }
 
-        let injected_overshoot = match BudgetLedger::new(&state.name, prep.budget)
-            .with_injected_jitter(prep.jitter)
-            .audit_actuation(&state.plan, report.cluster_power, ep, &mut self.rec)
-        {
-            ActuationCheck::Nominal => false,
-            ActuationCheck::InjectedJitter => {
-                state.injected_overshoots += 1;
-                true
-            }
-        };
-
-        if self.rec.enabled() {
-            self.rec.counter_add("epochs_total", 1);
-            if prep.replanned {
-                self.rec.counter_add("replans_total", 1);
-            }
-            self.rec
-                .observe("epoch_time_secs", report.total_time.as_secs());
-            if self.budget.as_watts() > 0.0 {
-                self.rec.observe(
-                    "budget_utilization",
-                    report.cluster_power.as_watts() / self.budget.as_watts(),
-                );
-            }
-            let budget = self.budget;
-            let caps_total = state.plan.total_caps();
-            let measured = report.cluster_power;
-            let performance = report.performance();
-            let wall = report.total_time;
-            let replanned = prep.replanned;
-            self.rec
-                .event_with(ep, clip_obs::EventClass::Scheduler, || {
-                    clip_obs::TraceEvent::EpochCompleted {
-                        budget,
-                        caps_total,
-                        measured,
-                        performance,
-                        wall,
-                        replanned,
-                    }
-                });
+    /// [`EpochEngine::settle_epoch`] on the report
+    /// [`EpochEngine::execute_in_place`] left in the engine's memo.
+    pub(crate) fn settle_in_place<P: EpochPolicy<R> + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        prep: EpochPrep,
+        policy: &mut P,
+        epoch: usize,
+    ) {
+        // The epoch's execute always leaves its report in the memo.
+        if let Some(report) = self.memo.last() {
+            state.settle(&mut self.rec, self.budget, prep, report, policy, epoch);
         }
-
-        state.epochs.push(EpochRecord {
-            epoch,
-            replanned: prep.replanned,
-            node_ids: state.plan.node_ids.clone(),
-            caps_total: state.plan.total_caps(),
-            measured_power: report.cluster_power,
-            performance: report.performance(),
-            epoch_time: report.total_time,
-            events_applied: prep.boundary.events_applied,
-            events_ignored: prep.boundary.events_ignored,
-            injected_overshoot,
-        });
-
-        policy.epoch_settled(report, epoch, &mut self.rec);
     }
 
     /// Phase 4: close out the run — final survivor gauge, tracing off,
@@ -963,7 +1021,7 @@ mod tests {
     /// it, and both sides run it.
     type Step = (&'static str, bool, fn(&mut ScriptJob));
 
-    const SCRIPT: [Step; 19] = [
+    const SCRIPT: [Step; 21] = [
         ("first job", false, |_| {}),
         ("repeat", true, |_| {}),
         ("repeat again", true, |_| {}),
@@ -991,13 +1049,19 @@ mod tests {
         ("same name, other phases", false, |j| {
             j.app = reworked(&j.app, j.app.name(), 1.01).with_comm(j.app.comm().clone())
         }),
-        // Another name and the default communication model: both stay
-        // out of the key, and the report recomputes them.
-        ("same phases, other name", true, |j| {
-            j.app = reworked(&j.app, "renamed", 1.0)
+        // The stored report carries the app's name and its communication
+        // time, so both are in the key: changing either alone misses.
+        ("same phases, other name", false, |j| {
+            j.app = reworked(&j.app, "renamed", 1.0).with_comm(j.app.comm().clone())
         }),
         ("repeat renamed", true, |_| {}),
         ("repeat renamed again", true, |_| {}),
+        (
+            "same name and phases, other communication model",
+            false,
+            |j| j.app = j.app.clone().with_comm(workload::CommModel::default()),
+        ),
+        ("repeat other communication model", true, |_| {}),
     ];
 
     /// Drive `EpochEngine::execute` through [`SCRIPT`] and a crash, and
@@ -1104,6 +1168,86 @@ mod tests {
         let (got, want) = run_script(ring(), ring());
         let (got, want) = (got.finish(), want.finish());
         assert_eq!(got.dropped(), 0, "the ring holds the whole script");
+        assert!(!got.is_empty());
+        assert!(got.frames().eq(want.frames()), "trace frames differ");
+    }
+
+    /// The same fault timeline — cap jitter on, a straggler, jitter off, a
+    /// crash — driven twice: through [`EpochEngine::run`], which settles
+    /// each epoch from the report in the engine's memo, and phase by phase
+    /// through `execute` and `settle_epoch`, which settle a copy. Returns
+    /// each run's serialized report and recorder.
+    fn run_both_ways<R: Recorder>(rec: impl Fn() -> R) -> [(String, R); 2] {
+        use cluster_sim::{FaultEvent, FaultKind, FaultPlan};
+        let event = |at_epoch, node, kind| FaultEvent {
+            at_epoch,
+            node,
+            kind,
+        };
+        let faults = FaultPlan::new(vec![
+            event(2, 3, FaultKind::CapJitter { fraction: 0.06 }),
+            event(4, 1, FaultKind::SlowNode { factor: 1.15 }),
+            event(5, 3, FaultKind::CapJitter { fraction: 0.0 }),
+            event(6, 5, FaultKind::NodeCrash),
+        ]);
+        let cfg = FaultHarnessConfig {
+            epochs: 10,
+            iterations_per_epoch: 2,
+        };
+        let budget = Power::watts(1200.0);
+        let app = suite::comd();
+
+        let mut cluster = Cluster::paper_testbed(41);
+        let mut engine = EpochEngine::new(budget, rec());
+        let mut policy = crate::degrade::FaultTimeline::new(&faults);
+        let report = engine.run(&mut clip(), &mut cluster, &app, &mut policy, &cfg);
+        // The straggler and the crash each change the pool, and each is
+        // recovered from at the next boundary.
+        assert_eq!(report.recoveries.len(), 2);
+        let in_place = (
+            serde_json::to_string(&report).unwrap(),
+            engine.into_recorder(),
+        );
+
+        let mut cluster = Cluster::paper_testbed(41);
+        let mut engine = EpochEngine::new(budget, rec());
+        let mut policy = crate::degrade::FaultTimeline::new(&faults);
+        let mut sched = clip();
+        let mut state = engine.begin_run(&mut sched, &mut cluster, &app, &mut policy, &cfg);
+        for epoch in 0..cfg.epochs {
+            let prep = engine.prepare_epoch(
+                &mut state,
+                &mut sched,
+                &mut cluster,
+                &app,
+                &mut policy,
+                epoch,
+            );
+            let app = state.staged().unwrap_or(&app);
+            let report = engine.execute(&mut cluster, app, &state.plan, cfg.iterations_per_epoch);
+            engine.settle_epoch(&mut state, prep, &report, &mut policy, epoch);
+        }
+        let report = engine.finish_run(state, &mut sched, &cluster);
+        let phased = (
+            serde_json::to_string(&report).unwrap(),
+            engine.into_recorder(),
+        );
+        [in_place, phased]
+    }
+
+    #[test]
+    fn settling_in_place_matches_settling_a_copy() {
+        let [(in_place, _), (phased, _)] = run_both_ways(|| NoopRecorder);
+        assert_eq!(in_place, phased);
+    }
+
+    #[test]
+    fn settling_in_place_emits_the_same_frames() {
+        let ring = || clip_obs::TraceRecorder::new(clip_obs::RingSink::new(1 << 14));
+        let [(in_place, got), (phased, want)] = run_both_ways(ring);
+        assert_eq!(in_place, phased);
+        let (got, want) = (got.finish(), want.finish());
+        assert_eq!(got.dropped(), 0, "the ring holds the whole run");
         assert!(!got.is_empty());
         assert!(got.frames().eq(want.frames()), "trace frames differ");
     }

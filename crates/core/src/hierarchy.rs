@@ -38,15 +38,17 @@
 //!    [`EpochEngine::prepare_epoch`] — everything that touches the
 //!    process-wide audit counters, the scheduler's decision buffer, or a
 //!    trace sink happens here;
-//! 2. **execute** (the pool): [`EpochEngine::execute`] per rack. A part
-//!    owns its racks wholesale (cluster, engine, recorder) and each rack
-//!    writes its result into its own phase — no shared accumulation, no
-//!    interior mutability, which is exactly the shape clip-lint's
-//!    shared-state and commutativity rules prove (§13's proof obligation;
-//!    `run_sharded` is a registered replay-critical entry point);
+//! 2. **execute** (the pool): [`EpochEngine::execute`]'s in-place form
+//!    per rack. A part owns its racks wholesale (cluster, engine,
+//!    recorder) and each rack's report stays in its own engine's job memo
+//!    — no shared accumulation, no interior mutability, which is exactly
+//!    the shape clip-lint's shared-state and commutativity rules prove
+//!    (§13's proof obligation; `run_sharded` is a registered
+//!    replay-critical entry point);
 //! 3. **settle** (calling thread, rack-index order): actuation audits,
-//!    epoch records and trace emission via [`EpochEngine::settle_epoch`],
-//!    then the arbiter rebalances on the demands just reported.
+//!    epoch records and trace emission, [`EpochEngine::settle_epoch`] on
+//!    the report in the rack engine's memo, then the arbiter rebalances on
+//!    the demands just reported.
 //!
 //! Parts are contiguous and return to their slots, so the prepare and
 //! settle loops walk the racks in rack-index order whatever the worker
@@ -452,8 +454,9 @@ enum RackPhase {
     Idle,
     /// Planned and audited this epoch; the execute phase runs next.
     Prepared(EpochPrep),
-    /// Executed this epoch; the settle phase consumes the report.
-    Executed(EpochPrep, JobReport),
+    /// Executed this epoch; the report waits in the rack engine's memo
+    /// for the settle phase.
+    Executed(EpochPrep),
     /// The whole rack crashed at epoch `at`'s boundary. Nothing touches
     /// the rack afterwards, so its engine is closed out with the
     /// survivors' at the end of the campaign, over the epochs it ran.
@@ -485,10 +488,13 @@ impl<R: Recorder> RackRun<'_, R> {
         match std::mem::replace(&mut self.phase, RackPhase::Idle) {
             RackPhase::Prepared(prep) => {
                 let app = self.state.staged().unwrap_or(self.app);
-                let report =
-                    self.engine
-                        .execute(&mut self.cluster, app, &self.state.plan, self.iterations);
-                self.phase = RackPhase::Executed(prep, report);
+                self.engine.execute_in_place(
+                    &mut self.cluster,
+                    app,
+                    &self.state.plan,
+                    self.iterations,
+                );
+                self.phase = RackPhase::Executed(prep);
             }
             other => self.phase = other,
         }
@@ -498,10 +504,10 @@ impl<R: Recorder> RackRun<'_, R> {
     /// the epoch and report the rack's demand to the arbiter.
     fn settle(&mut self, epoch: usize) {
         match std::mem::replace(&mut self.phase, RackPhase::Idle) {
-            RackPhase::Executed(prep, report) => {
+            RackPhase::Executed(prep) => {
                 self.last_demand = self.state.plan.total_caps();
                 self.engine
-                    .settle_epoch(&mut self.state, prep, &report, &mut self.policy, epoch);
+                    .settle_in_place(&mut self.state, prep, &mut self.policy, epoch);
             }
             other => self.phase = other,
         }

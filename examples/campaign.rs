@@ -19,8 +19,9 @@
 //! and the run executes 79,600 of the nominal million node-iterations; it
 //! prints both counts, the executed one summed over the report's
 //! per-epoch plans. It also prints an FNV-1a fingerprint of the serialized
-//! [`clip_core::ShardRunReport`]; `scripts/check.sh` re-runs the smoke
-//! variant at two worker counts and fails if the fingerprints differ.
+//! [`clip_core::ShardRunReport`]; `scripts/check.sh` runs the smoke and
+//! the full-size variant at 1 and 4 worker threads and fails unless each
+//! prints its pinned fingerprint.
 //!
 //!   cargo run --release --example campaign -- --shard [--smoke] [--threads N]
 

@@ -18,8 +18,8 @@
 //! per rack under the cluster-level budget arbiter, with node faults and
 //! a whole-rack crash mid-campaign. The run prints an FNV-1a fingerprint
 //! over the serialized shard + service reports; `scripts/check.sh`
-//! re-runs the smoke variant at two worker counts and fails if the
-//! fingerprints differ.
+//! runs the smoke variant at 1 and 4 worker threads and fails unless
+//! each prints its pinned fingerprint.
 //!
 //!   cargo run --release --example service -- [--smoke] [--threads N] [--trace FILE]
 

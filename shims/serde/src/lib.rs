@@ -291,6 +291,19 @@ impl Deserialize for Arc<str> {
     }
 }
 
+/// A shared slice serializes as the list it holds.
+impl<T: Serialize> Serialize for Arc<[T]> {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        Vec::deserialize_value(v).map(Arc::from)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize_value(&self) -> Value {
         (**self).serialize_value()

@@ -394,6 +394,16 @@ mod tests {
     }
 
     #[test]
+    fn shared_slice_is_written_as_its_list() {
+        let ids = vec![3usize, 1, 4];
+        let shared: std::sync::Arc<[usize]> = ids.clone().into();
+        let s = to_string(&shared).unwrap();
+        assert_eq!(s, to_string(&ids).unwrap());
+        let back: std::sync::Arc<[usize]> = from_str(&s).unwrap();
+        assert_eq!(*back, *ids);
+    }
+
+    #[test]
     fn u64_roundtrips_exactly() {
         let big = u64::MAX - 7;
         let s = to_string(&big).unwrap();
