@@ -374,9 +374,6 @@ pub struct RunState {
     // The staged app override for the current epoch, re-cloned only when
     // the policy switches phases (clone-on-change).
     staged: Option<AppModel>,
-    // The live plan's node ids, shared by the epoch records made under
-    // them; replaced only when the plan's ids change.
-    node_ids: Arc<[usize]>,
     epochs: Vec<EpochRecord>,
     recoveries: Vec<Recovery>,
     injected_overshoots: usize,
@@ -475,13 +472,16 @@ impl RunState {
             });
         }
 
-        if *self.node_ids != *self.plan.node_ids {
-            self.node_ids = Arc::from(self.plan.node_ids.as_slice());
-        }
+        // Epoch records made under the same ids share one list; a new one
+        // is made only after the plan's ids change.
+        let node_ids = match self.epochs.last() {
+            Some(r) if *r.node_ids == *self.plan.node_ids => Arc::clone(&r.node_ids),
+            _ => Arc::from(self.plan.node_ids.as_slice()),
+        };
         self.epochs.push(EpochRecord {
             epoch,
             replanned: prep.replanned,
-            node_ids: Arc::clone(&self.node_ids),
+            node_ids,
             caps_total: self.plan.total_caps(),
             measured_power: report.cluster_power,
             performance: report.performance(),
@@ -710,7 +710,6 @@ impl<R: Recorder> EpochEngine<R> {
         );
         RunState {
             name,
-            node_ids: Arc::from(plan.node_ids.as_slice()),
             plan,
             staged,
             epochs: Vec::with_capacity(cfg.epochs),
