@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Parent-vs-change benchmark comparison for one workload.
 #
-#   scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [seed]
+#   scripts/ab.sh <base-rev> <workload> [pairs] [seed]
 #
 # Unpacks `git archive <base-rev>` under target/ab/, builds the benchmark
 # (clipbench/) there and in the working tree, then runs BENCHMARK.json's
-# command `pairs` times on each side (default 5 pairs of 30 s runs at seed
-# 2017, untraced), alternating which side runs first so host drift lands
-# on both. Every run's env line and result line, with the commit each side
+# command `pairs` times on each side (default 10 pairs at seed 2017,
+# untraced, each run as long as BENCHMARK.json's `run_seconds`),
+# alternating which side runs first so host drift lands on both. Every run's env line and result line, with the commit each side
 # was built from (the working tree's marked `+dirty` when it has
 # uncommitted changes), go to target/ab/<workload>-<seed>-<date>.jsonl.
 #
@@ -20,8 +20,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 2 ] || [ $# -gt 5 ]; then
-    echo "usage: scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [seed]" >&2
+if [ $# -lt 2 ] || [ $# -gt 4 ]; then
+    echo "usage: scripts/ab.sh <base-rev> <workload> [pairs] [seed]" >&2
     exit 2
 fi
 base_commit="$(git rev-parse --verify --quiet "$1^{commit}")" \
@@ -45,11 +45,12 @@ for root in "$base_dir" .; do
 done
 
 AB_BASE_DIR="$base_dir" AB_BASE_COMMIT="$base_commit" AB_CHANGE_COMMIT="$change_commit" \
-    python3 - "$2" "${3:-5}" "${4:-30}" "${5:-2017}" <<'PY'
+    python3 - "$2" "${3:-10}" "${4:-2017}" <<'PY'
 import json, os, statistics, subprocess, sys, time
 
-workload, pairs, seconds, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+workload, pairs, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 bench = json.load(open("BENCHMARK.json"))
+seconds = str(bench["run_seconds"])
 if workload not in [w["name"] for w in bench["workloads"]]:
     sys.exit(f"ab: BENCHMARK.json declares no workload {workload!r}")
 cmd = bench["command"] + [
