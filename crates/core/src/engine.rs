@@ -473,7 +473,7 @@ impl RunState {
         }
 
         // Epoch records made under the same ids share one list; a new one
-        // is made only after the plan's ids change.
+        // is made for the first epoch and after the plan's ids change.
         let node_ids = match self.epochs.last() {
             Some(r) if *r.node_ids == *self.plan.node_ids => Arc::clone(&r.node_ids),
             _ => Arc::from(self.plan.node_ids.as_slice()),
