@@ -28,6 +28,9 @@ pub struct Cluster {
     /// Liveness flags; a crashed node stays in the fleet (indices are
     /// stable) but must not be scheduled onto.
     alive: Vec<bool>,
+    /// How many of `alive` are set; [`Cluster::fail_node`], the one
+    /// writer of `alive`, keeps it.
+    alive_count: usize,
 }
 
 impl Cluster {
@@ -40,15 +43,22 @@ impl Cluster {
     pub fn with_variability(n: usize, var: &VariabilityModel, seed: u64) -> Self {
         assert!(n > 0, "cluster needs at least one node");
         let efficiencies = var.sample(n, seed);
+        // Every node is a clone of one nominal node, so all of them share
+        // its P-state ladder.
+        let nominal = Node::haswell();
         let nodes = efficiencies
             .iter()
-            .map(|&e| Node::haswell_with_efficiency(e))
+            .map(|&e| {
+                let mut node = nominal.clone();
+                node.set_efficiency(e);
+                node
+            })
             .collect();
-        let alive = vec![true; n];
         Self {
             nodes,
             efficiencies,
-            alive,
+            alive: vec![true; n],
+            alive_count: n,
         }
     }
 
@@ -115,9 +125,13 @@ impl Cluster {
     /// least one node must remain alive.
     pub fn fail_node(&mut self, i: usize) {
         assert!(i < self.alive.len(), "node {i} out of range");
-        let others_alive = (0..self.alive.len()).any(|j| j != i && self.alive[j]);
-        assert!(others_alive, "cannot crash the last alive node");
+        let was_alive = usize::from(self.alive[i]);
+        assert!(
+            self.alive_count > was_alive,
+            "cannot crash the last alive node"
+        );
         self.alive[i] = false;
+        self.alive_count -= was_alive;
     }
 
     /// Indices of the nodes still alive, in fleet order. Collecting the
@@ -131,7 +145,7 @@ impl Cluster {
 
     /// Count of alive nodes.
     pub fn alive_len(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.alive_count
     }
 
     /// Overwrite node `i`'s variability factor (both the scheduler-visible

@@ -600,6 +600,23 @@ mod tests {
     }
 
     #[test]
+    fn homogeneous_pool_keeps_its_first_nodes() {
+        // Every node of a homogeneous fleet measures the same factor, so
+        // the n thriftiest are the pool's first n, in pool order.
+        let mut cluster = Cluster::homogeneous(100);
+        let mut clip = scheduler();
+        let app = suite::comd();
+        let budget = Power::watts(17_500.0);
+        let plan = clip.plan(&mut cluster, &app, budget);
+        assert!(plan.nodes() < 100, "the rack keeps a few of its nodes");
+        assert_eq!(plan.node_ids, (0..plan.nodes()).collect::<Vec<_>>());
+        let pool: Vec<usize> = (0..100).map(|i| i * 37 % 100).collect();
+        let plan = clip.plan_subset(&mut cluster, &app, budget, &pool);
+        assert!(plan.nodes() < pool.len());
+        assert_eq!(plan.node_ids, pool[..plan.nodes()]);
+    }
+
+    #[test]
     fn coordination_preserves_total_budget() {
         let mut cluster =
             Cluster::with_variability(4, &cluster_sim::VariabilityModel::with_sigma(0.10), 31);

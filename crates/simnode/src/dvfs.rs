@@ -7,25 +7,39 @@
 //! (duty-cycle throttling, T-states), which we model as a continuous
 //! effective frequency below `f_min`.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use simkit::Frequency;
+use std::sync::Arc;
 
-/// Discrete frequency ladder, ascending.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Discrete frequency ladder, ascending. Cloning shares the ladder, so a
+/// cluster whose nodes are clones of one table holds one copy of it.
+/// Deserializing checks the ladder as [`PStateTable::new`] does, so a bad
+/// node description fails where it is read.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PStateTable {
     /// Ascending frequencies in GHz.
-    states: Vec<Frequency>,
+    states: Arc<[Frequency]>,
 }
 
 impl PStateTable {
     /// Build from an ascending, non-empty list of frequencies.
     pub fn new(states: Vec<Frequency>) -> Self {
-        assert!(!states.is_empty(), "P-state table must be non-empty");
-        assert!(
-            states.windows(2).all(|w| w[0] < w[1]),
-            "P-states must be strictly ascending"
-        );
-        Self { states }
+        let invalid = Self::invalid(&states);
+        assert!(invalid.is_none(), "{}", invalid.unwrap_or_default());
+        Self {
+            states: states.into(),
+        }
+    }
+
+    /// Why a ladder of `states` cannot be built, if it cannot.
+    fn invalid(states: &[Frequency]) -> Option<&'static str> {
+        if states.is_empty() {
+            Some("P-state table must be non-empty")
+        } else if !states.windows(2).all(|w| w[0] < w[1]) {
+            Some("P-states must be strictly ascending")
+        } else {
+            None
+        }
     }
 
     /// The reproduction's Haswell-like ladder: 1.2 GHz to 2.3 GHz in 0.1 GHz
@@ -79,7 +93,7 @@ impl PStateTable {
         // tie the earlier (lower) frequency wins — conservative under a cap.
         let mut best = self.f_min();
         let mut best_d = (best.as_ghz() - f.as_ghz()).abs();
-        for &s in &self.states {
+        for &s in self.states.iter() {
             let d = (s.as_ghz() - f.as_ghz()).abs();
             if d.total_cmp(&best_d).is_lt() {
                 best = s;
@@ -87,6 +101,24 @@ impl PStateTable {
             }
         }
         best
+    }
+}
+
+impl Deserialize for PStateTable {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        if !matches!(v, Value::Object(_)) {
+            return Err(Error::invalid_type("object", v));
+        }
+        let states: Vec<Frequency> = match v.get("states") {
+            Some(x) => Vec::deserialize_value(x)?,
+            None => return serde::missing_field("states"),
+        };
+        match Self::invalid(&states) {
+            Some(why) => Err(Error::custom(format!("invalid P-state table: {why}"))),
+            None => Ok(Self {
+                states: states.into(),
+            }),
+        }
     }
 }
 

@@ -122,7 +122,10 @@ fn sharded_campaign(smoke: bool, threads: Option<usize>) {
         "  aggregate perf    : {:.4} it/s over live racks",
         report.aggregate_performance()
     );
-    println!("  wall time         : {:.2} s", elapsed.as_secs_f64());
+    println!(
+        "  wall time         : {:.1} ms",
+        elapsed.as_secs_f64() * 1e3
+    );
     let json = serde_json::to_string(&report).expect("shard reports serialize");
     println!(
         "  report fnv        : {:#018x} ({} bytes)",

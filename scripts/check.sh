@@ -136,7 +136,7 @@ CEILINGS = {
     "fleet": (13.39, 27.62),
     "service": (5.07, 10.56),
     "service_traced": (5.46, 17.16),
-    "paper_grid": (12.80, 35.80),
+    "paper_grid": (11.20, 18.20),
 }
 bench = json.load(open("BENCHMARK.json"))
 for workload in bench["workloads"]:

@@ -7,7 +7,7 @@ use clip_core::knowledge::{KnowledgeDb, KnowledgeRecord};
 use clip_core::{ClipScheduler, InflectionPredictor, PowerScheduler, SchedulePlan, SmartProfiler};
 use cluster_sim::{run_job, Cluster, JobSpec};
 use simkit::Power;
-use simnode::{AffinityPolicy, Node, NodeTopology, Placement, MAX_SOCKETS};
+use simnode::{AffinityPolicy, Node, NodeTopology, PStateTable, Placement, MAX_SOCKETS};
 use workload::suite;
 
 #[test]
@@ -168,6 +168,69 @@ fn bad_node_topology_fails_to_parse() {
     for partial in [r#"{"sockets":2}"#, "[2,12]"] {
         assert!(
             serde_json::from_str::<NodeTopology>(partial).is_err(),
+            "{partial}"
+        );
+    }
+}
+
+/// A P-state ladder is checked where it is read, alone or inside a
+/// `Node`, as `PStateTable::new` checks it; the shared ladder writes the
+/// same bytes as the list it replaced.
+#[test]
+fn bad_pstate_table_fails_to_parse() {
+    let ladder = r#"{"states":[1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9,2.0,2.1,2.2,2.3]}"#;
+    let haswell = PStateTable::haswell();
+    assert_eq!(
+        serde_json::to_string(&haswell).expect("serialize ladder"),
+        ladder
+    );
+    let back: PStateTable = serde_json::from_str(ladder).expect("deserialize ladder");
+    assert_eq!(back, haswell);
+
+    let node_json = serde_json::to_string(&Node::haswell()).expect("serialize node");
+    assert_eq!(
+        node_json,
+        concat!(
+            r#"{"topo":{"sockets":2,"cores_per_socket":12},"pstates":"#,
+            r#"{"states":[1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9,2.0,2.1,2.2,2.3]},"#,
+            r#""power":{"socket_base":18.0,"socket_idle":9.0,"core_static":1.5,"#,
+            r#""core_dyn_coeff":0.575,"dram_base":3.0,"dram_load_max":13.5,"#,
+            r#""peak_bw_per_socket":56.0,"efficiency":1.0,"min_duty":0.02},"#,
+            r#""memory":{"peak_per_socket":56.0,"qpi_bandwidth":25.0,"remote_penalty":0.35},"#,
+            r#""rapl":{"caps":{"cpu":1000000000.0,"dram":1000000000.0},"pkg":{"raw":0},"#,
+            r#""dram":{"raw":0},"elapsed":0.0,"actuation_jitter":0.0}}"#
+        )
+    );
+    let node: Node = serde_json::from_str(&node_json).expect("deserialize node");
+    assert_eq!(node.pstates(), &haswell);
+
+    for (bad, why) in [
+        (r#"{"states":[]}"#, "P-state table must be non-empty"),
+        (
+            r#"{"states":[2.3,1.2]}"#,
+            "P-states must be strictly ascending",
+        ),
+        (
+            r#"{"states":[1.2,1.2]}"#,
+            "P-states must be strictly ascending",
+        ),
+    ] {
+        let err = serde_json::from_str::<PStateTable>(bad)
+            .err()
+            .map(|e| e.to_string());
+        assert!(
+            err.as_deref().is_some_and(|e| e.contains(why)),
+            "{bad}: expected an error with {why:?}, got {err:?}"
+        );
+        let bad_node = node_json.replace(ladder, bad);
+        assert!(
+            serde_json::from_str::<Node>(&bad_node).is_err(),
+            "{bad_node}"
+        );
+    }
+    for partial in ["{}", "[1.2,2.3]"] {
+        assert!(
+            serde_json::from_str::<PStateTable>(partial).is_err(),
             "{partial}"
         );
     }
