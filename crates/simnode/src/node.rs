@@ -210,16 +210,6 @@ impl Node {
         )
     }
 
-    /// Same node with a manufacturing-variability efficiency factor.
-    pub fn haswell_with_efficiency(efficiency: f64) -> Self {
-        Self::new(
-            NodeTopology::haswell_2x12(),
-            PStateTable::haswell(),
-            PowerModel::haswell().with_efficiency(efficiency),
-            MemorySubsystem::haswell(),
-        )
-    }
-
     /// Node topology.
     pub fn topology(&self) -> &NodeTopology {
         &self.topo
