@@ -71,13 +71,6 @@ impl PowerModel {
         }
     }
 
-    /// Same constants with a different variability factor.
-    pub fn with_efficiency(mut self, efficiency: f64) -> Self {
-        assert!(efficiency > 0.0, "efficiency must be positive");
-        self.efficiency = efficiency;
-        self
-    }
-
     /// Power drawn by one active core at frequency `f` with CPU activity `a`.
     pub fn core_power(&self, f: Frequency, activity: f64) -> Power {
         debug_assert!((0.0..=1.0).contains(&activity), "activity in [0,1]");
@@ -323,9 +316,11 @@ mod tests {
     #[test]
     fn efficiency_scales_power() {
         let nominal = model().pkg_power(&[12, 12], Frequency::ghz(2.0), 1.0);
-        let leaky = model()
-            .with_efficiency(1.05)
-            .pkg_power(&[12, 12], Frequency::ghz(2.0), 1.0);
+        let leaky = PowerModel {
+            efficiency: 1.05,
+            ..model()
+        }
+        .pkg_power(&[12, 12], Frequency::ghz(2.0), 1.0);
         assert!((leaky.as_watts() / nominal.as_watts() - 1.05).abs() < 1e-9);
     }
 
@@ -334,9 +329,11 @@ mod tests {
         let ladder = PStateTable::haswell();
         let cap = Power::watts(170.0);
         let nominal = model().max_speed_under_cap(&ladder, &[12, 12], 1.0, cap);
-        let leaky = model()
-            .with_efficiency(1.08)
-            .max_speed_under_cap(&ladder, &[12, 12], 1.0, cap);
+        let leaky = PowerModel {
+            efficiency: 1.08,
+            ..model()
+        }
+        .max_speed_under_cap(&ladder, &[12, 12], 1.0, cap);
         assert!(
             leaky.effective_frequency() < nominal.effective_frequency(),
             "variability must cost frequency under a uniform cap"
