@@ -17,8 +17,8 @@
 //!   boundaries, translating each event to its rack's local index space.
 //!
 //! Everything here is plain index arithmetic over `Vec`s — no interior
-//! mutability, no ambient state — so per-rack work stays shardable under
-//! clip-lint's shared-state and commutativity rules.
+//! mutability, no ambient state — so per-rack work stays shardable; clippy
+//! bans the interior-mutable std types here as everywhere under `crates/`.
 
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::fleet::Cluster;

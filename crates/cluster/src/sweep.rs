@@ -9,8 +9,7 @@
 //! returns results in input order.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{self, atomic::Ordering};
 
 /// Map `f` over `items` in parallel, preserving order. Falls back to a
 /// sequential loop for small inputs, where spawning would dominate, and
@@ -43,7 +42,11 @@ where
 /// files, which costs more than a small sweep. A process that changes its
 /// CPU affinity should do so before its first sweep.
 pub fn worker_count(workers: Option<usize>, items: usize) -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a once-per-process cache of the CPU count; every reader sees the one value, so no result depends on which thread filled it"
+    )]
+    static CPUS: sync::OnceLock<usize> = sync::OnceLock::new();
     resolve_workers(workers, items, || {
         *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(4, usize::from))
     })
@@ -62,6 +65,10 @@ fn resolve_workers(workers: Option<usize>, items: usize, cpus: impl FnOnce() -> 
 /// [`parallel_map`] with an explicit worker count, resolved by
 /// [`worker_count`]: `Some(1)` forces the sequential path, and `Some(k)`
 /// spawns `min(k, items.len())` threads even for small inputs.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the worker queue/result mutexes are the fork-join plumbing; results rejoin by index, so output order is input order regardless of interleaving"
+)]
 pub fn parallel_map_with<T, R, F>(items: Vec<T>, workers: Option<usize>, f: F) -> Vec<R>
 where
     T: Send,
@@ -78,10 +85,14 @@ where
     // `f` runs under `catch_unwind`, so no lock is ever held across a
     // panic and the locks below cannot poison; the first captured payload
     // wins and is re-raised after the scope joins.
-    let queue = Mutex::new(items.into_iter().enumerate().collect::<Vec<_>>());
-    let results = Mutex::new(Vec::with_capacity(n));
-    let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let aborted = AtomicBool::new(false);
+    let queue = sync::Mutex::new(items.into_iter().enumerate().collect::<Vec<_>>());
+    let results = sync::Mutex::new(Vec::with_capacity(n));
+    let first_panic: sync::Mutex<Option<Box<dyn std::any::Any + Send>>> = sync::Mutex::new(None);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the abort flag is a one-way latch; a late observer does extra work but never changes a result"
+    )]
+    let aborted = sync::atomic::AtomicBool::new(false);
 
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -133,7 +144,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_order() {
@@ -150,7 +160,11 @@ mod tests {
 
     #[test]
     fn every_item_processed_exactly_once() {
-        let counter = AtomicUsize::new(0);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "counts calls across workers; addition commutes, so the count is the same in any order"
+        )]
+        let counter = sync::atomic::AtomicUsize::new(0);
         let out = parallel_map((0..500).collect::<Vec<_>>(), |x| {
             counter.fetch_add(1, Ordering::Relaxed);
             x

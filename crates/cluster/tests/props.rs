@@ -335,8 +335,11 @@ proptest! {
 
 /// One shared predictor for the ledger properties (training dominates).
 fn predictor() -> &'static clip_core::InflectionPredictor {
-    use std::sync::OnceLock;
-    static PRED: OnceLock<clip_core::InflectionPredictor> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only cache of a deterministic computation; every reader sees the same value"
+    )]
+    static PRED: std::sync::OnceLock<clip_core::InflectionPredictor> = std::sync::OnceLock::new();
     PRED.get_or_init(|| clip_core::InflectionPredictor::train_default(5))
 }
 
@@ -392,8 +395,11 @@ proptest! {
 /// Oracle performance on a clean 4-node fleet (the differential-bound
 /// reference). Computed once: the Oracle grid search dominates the cost.
 fn oracle_reference() -> f64 {
-    use std::sync::OnceLock;
-    static PERF: OnceLock<f64> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only cache of a deterministic computation; every reader sees the same value"
+    )]
+    static PERF: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
     *PERF.get_or_init(|| {
         use baselines::Oracle;
         use clip_core::{execute_plan, PowerScheduler};

@@ -30,8 +30,11 @@ const ITERS: usize = 1;
 
 /// One shared predictor for all cases (training is the expensive part).
 fn predictor() -> &'static InflectionPredictor {
-    use std::sync::OnceLock;
-    static PRED: OnceLock<InflectionPredictor> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only cache of a deterministic computation; every reader sees the same value"
+    )]
+    static PRED: std::sync::OnceLock<InflectionPredictor> = std::sync::OnceLock::new();
     PRED.get_or_init(|| InflectionPredictor::train_default(5))
 }
 

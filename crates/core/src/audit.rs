@@ -24,14 +24,18 @@
 use crate::scheduler::SchedulePlan;
 use simkit::Power;
 use simnode::PowerCaps;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{self, Ordering};
 
 /// Absolute tolerance for budget comparisons, watts. Matches the
 /// tolerance [`SchedulePlan::within_budget`] uses.
 pub const TOLERANCE_WATTS: f64 = 1e-6;
 
 /// Process-global count of audit violations observed in release builds.
-static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
+#[expect(
+    clippy::disallowed_types,
+    reason = "a release-build violation count that only grows; addition commutes, so the total is the same in any rack order"
+)]
+static VIOLATIONS: atomic::AtomicU64 = atomic::AtomicU64::new(0);
 
 /// Number of audit violations recorded so far (release builds only; debug
 /// builds panic before counting).

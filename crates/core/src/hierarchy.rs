@@ -41,10 +41,10 @@
 //! 2. **execute** (the pool): [`EpochEngine::execute`]'s in-place form
 //!    per rack. A part owns its racks wholesale (cluster, engine,
 //!    recorder) and each rack's report stays in its own engine's job memo
-//!    — no shared accumulation, no interior mutability, which is exactly
-//!    the shape clip-lint's shared-state and commutativity rules prove
-//!    (§13's proof obligation; `run_sharded` is a registered
-//!    replay-critical entry point);
+//!    — no shared accumulation, no interior mutability. The compiler
+//!    checks that shape: parts travel to the helpers and back by value,
+//!    and `crates/clippy.toml` bans the interior-mutable std types
+//!    outside the reviewed `#[expect]` sites (DESIGN §13);
 //! 3. **settle** (calling thread, rack-index order): actuation audits,
 //!    epoch records and trace emission, [`EpochEngine::settle_epoch`] on
 //!    the report in the rack engine's memo, then the arbiter rebalances on

@@ -9,8 +9,11 @@ use simkit::{Power, SimRng, TimeSpan};
 use workload::corpus;
 
 fn predictor() -> &'static InflectionPredictor {
-    use std::sync::OnceLock;
-    static PRED: OnceLock<InflectionPredictor> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only cache of a deterministic computation; every reader sees the same value"
+    )]
+    static PRED: std::sync::OnceLock<InflectionPredictor> = std::sync::OnceLock::new();
     PRED.get_or_init(|| InflectionPredictor::train_default(5))
 }
 

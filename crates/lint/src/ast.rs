@@ -2,7 +2,7 @@
 //!
 //! The per-file rules of v1 only needed token patterns; the workspace-wide
 //! passes (call-graph panic propagation, unit-taint dataflow, ledger
-//! coverage, concurrency regions) need to know *which function* a
+//! coverage, lock ordering) need to know *which function* a
 //! token belongs to, what its parameters and return type look like, and
 //! which `impl`/`trait` block owns it. This module extracts exactly that —
 //! an index of `fn`, `struct`, `enum` and `impl` items with token spans —
@@ -47,10 +47,10 @@ pub struct ParsedSource {
     pub unit: ParsedUnit,
 }
 
-/// One `name: Type` pair (a fn parameter or a struct field).
+/// One `name: Type` fn parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
-    /// Binding or field name.
+    /// Binding name.
     pub name: String,
     /// Flattened type tokens, space-joined (e.g. `Vec < usize >`).
     pub ty: String,
@@ -94,66 +94,14 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Starts inside a `#[cfg(test)]` span.
     pub in_test: bool,
-    /// Generic-parameter bounds, from both the inline `<T: …>` list and
-    /// the `where` clause: `(type parameter, bound identifiers)`.
-    pub generic_bounds: Vec<(String, Vec<String>)>,
 }
 
-impl FnItem {
-    /// Names of parameters whose type is a generic bound by a closure
-    /// trait (`Fn`/`FnMut`/`FnOnce`) *and* a thread-crossing marker
-    /// (`Sync`/`Send`). Such parameters are how fork-join helpers like
-    /// `parallel_map` receive the closures they run concurrently, so any
-    /// workspace function with one is a parallel-execution boundary —
-    /// auto-discovered, the same way domain enums are.
-    pub fn sync_closure_params(&self) -> Vec<&str> {
-        self.params
-            .iter()
-            .filter(|p| {
-                self.generic_bounds.iter().any(|(ty, bounds)| {
-                    *ty == p.ty_primary
-                        && bounds
-                            .iter()
-                            .any(|b| b == "Fn" || b == "FnMut" || b == "FnOnce")
-                        && bounds.iter().any(|b| b == "Sync" || b == "Send")
-                })
-            })
-            .map(|p| p.name.as_str())
-            .collect()
-    }
-}
-
-/// One indexed closure expression (`|x| …`, `move |x| { … }`, `|| …`).
-///
-/// Closures are where the concurrency rules look for captured mutable
-/// state: anything their bodies touch that is not a parameter or a local
-/// `let` binding crosses the closure boundary from the enclosing scope.
-#[derive(Debug, Clone)]
-pub struct ClosureItem {
-    /// Parameter names bound by the closure (pattern idents flattened).
-    pub params: Vec<String>,
-    /// Token index range `(start, end)` of the body, inclusive. A braced
-    /// body spans its `{`/`}`; an expression body spans its tokens.
-    pub body: (usize, usize),
-    /// 1-based line of the opening `|`.
-    pub line: u32,
-    /// Declared with `move`.
-    pub is_move: bool,
-}
-
-/// One module-scope `static` item. Statics with interior-mutable types
-/// (atomics, locks) and `static mut` declarations are process-global
-/// shared state the concurrency rules must see.
+/// One module-scope `static` item. A lock held in a static is one lock
+/// in every function that takes it, which lock-discipline must know.
 #[derive(Debug, Clone)]
 pub struct StaticItem {
     /// Static name.
     pub name: String,
-    /// Primary type identifier (`AtomicU64`, `Mutex`, `f64`, …).
-    pub ty_primary: String,
-    /// Declared `static mut`.
-    pub is_mut: bool,
-    /// 1-based line of the `static` keyword.
-    pub line: u32,
     /// Starts inside a `#[cfg(test)]` span.
     pub in_test: bool,
 }
@@ -167,10 +115,6 @@ pub struct StructItem {
     pub is_pub: bool,
     /// 1-based line of the `struct` keyword.
     pub line: u32,
-    /// Named fields (empty for tuple/unit structs).
-    pub fields: Vec<Param>,
-    /// Starts inside a `#[cfg(test)]` span.
-    pub in_test: bool,
 }
 
 /// One indexed `enum` item.
@@ -197,8 +141,6 @@ pub struct FileIndex {
     pub structs: Vec<StructItem>,
     /// Enums, in source order.
     pub enums: Vec<EnumItem>,
-    /// Closure expressions, in source order (nested closures included).
-    pub closures: Vec<ClosureItem>,
     /// Module-scope statics, in source order.
     pub statics: Vec<StaticItem>,
 }
@@ -218,17 +160,6 @@ impl FileIndex {
             }
         }
         best.map(|(_, i)| i)
-    }
-
-    /// Indices of closures whose body starts inside `(span_lo, span_hi)`
-    /// (inclusive token range), in source order.
-    pub fn closures_in(&self, span_lo: usize, span_hi: usize) -> Vec<usize> {
-        self.closures
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.body.0 >= span_lo && c.body.0 <= span_hi)
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -327,9 +258,7 @@ pub fn parse_file(tokens: &[Token], excluded: &[(usize, usize)]) -> FileIndex {
                 }
             }
             "struct" => {
-                if let Some((item, next)) =
-                    parse_struct(tokens, i, preceded_by_pub(tokens, i), in_excluded(i))
-                {
+                if let Some((item, next)) = parse_struct(tokens, i, preceded_by_pub(tokens, i)) {
                     index.structs.push(item);
                     i = next;
                     derives.clear();
@@ -367,147 +296,19 @@ pub fn parse_file(tokens: &[Token], excluded: &[(usize, usize)]) -> FileIndex {
         }
         i += 1;
     }
-    index.closures = index_closures(tokens);
     index
 }
 
 /// Parse a `static` item starting at the `static` keyword. Returns the
-/// item and the index past the name/type header (the initializer is
-/// scanned normally so nested closures inside it are still indexed).
+/// item and the index past its name (the type and initializer are
+/// scanned normally).
 fn parse_static(tokens: &[Token], static_idx: usize, in_test: bool) -> Option<(StaticItem, usize)> {
-    let line = tokens.get(static_idx)?.line;
     let mut j = static_idx + 1;
-    let is_mut = tokens.get(j).is_some_and(|m| m.is_ident && m.text == "mut");
-    if is_mut {
+    if tokens.get(j).is_some_and(|m| m.is_ident && m.text == "mut") {
         j += 1;
     }
     let name = tokens.get(j).filter(|n| n.is_ident)?.text.clone();
-    let mut ty_primary = String::new();
-    if tokens.get(j + 1).is_some_and(|c| c.is(":")) {
-        let mut k = j + 2;
-        loop {
-            match tokens.get(k) {
-                Some(t) if t.is("&") => k += 1,
-                Some(t) if t.is_ident && (t.text == "mut" || t.text == "dyn") => k += 1,
-                _ => break,
-            }
-        }
-        ty_primary = tokens
-            .get(k)
-            .filter(|t| t.is_ident)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-    }
-    Some((
-        StaticItem {
-            name,
-            ty_primary,
-            is_mut,
-            line,
-            in_test,
-        },
-        j + 1,
-    ))
-}
-
-/// Scan the whole token stream for closure expressions. A `|` opens a
-/// closure only in expression position: after `(`, `,`, `=`, `{`, `;`,
-/// `return`, or a `move` qualifier — which keeps pattern alternation
-/// (`A | B =>`) and bitwise-or (`a | b`) out.
-fn index_closures(tokens: &[Token]) -> Vec<ClosureItem> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        let Some(t) = tokens.get(i) else { break };
-        if !t.is("|") {
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|p| tokens.get(p));
-        let is_move = prev.is_some_and(|p| p.is_ident && p.text == "move");
-        let expr_pos = is_move
-            || prev.is_none()
-            || prev.is_some_and(|p| {
-                p.is("(")
-                    || p.is(",")
-                    || p.is("=")
-                    || p.is("{")
-                    || p.is(";")
-                    || (p.is_ident && p.text == "return")
-            });
-        if !expr_pos {
-            continue;
-        }
-        // Find the closing `|` of the parameter list at depth 0; bail on
-        // anything that cannot be a parameter list.
-        let mut depth = 0i32;
-        let mut close = None;
-        let mut j = i + 1;
-        while let Some(p) = tokens.get(j) {
-            if p.is("(") || p.is("[") || p.is("{") || p.is("<") {
-                depth += 1;
-            } else if p.is(")") || p.is("]") || p.is("}") || p.is(">") {
-                depth -= 1;
-                if depth < 0 {
-                    break;
-                }
-            } else if depth == 0 && (p.is(";") || p.is("=>") || p.is("=")) {
-                break; // leading-pipe pattern or stray bitwise-or
-            } else if depth == 0 && p.is("|") {
-                close = Some(j);
-                break;
-            }
-            j += 1;
-        }
-        let Some(close) = close else { continue };
-        // Parameter names: idents before the `:` of each comma group,
-        // flattened through tuple/struct patterns.
-        let mut params = Vec::new();
-        let mut seen_colon = false;
-        for p in tokens.get(i + 1..close).unwrap_or_default() {
-            if p.is(",") {
-                seen_colon = false;
-            } else if p.is(":") {
-                seen_colon = true;
-            } else if p.is_ident && !seen_colon && p.text != "mut" && p.text != "ref" {
-                params.push(p.text.clone());
-            }
-        }
-        // Body: a braced block, or an expression up to a depth-0
-        // `,`/`;`/closing delimiter.
-        let body_start = close + 1;
-        let Some(first) = tokens.get(body_start) else {
-            continue;
-        };
-        let body = if first.is("{") {
-            (body_start, matching_close(tokens, body_start, "{", "}"))
-        } else {
-            let mut depth = 0i32;
-            let mut m = body_start;
-            while let Some(p) = tokens.get(m) {
-                if p.is("(") || p.is("[") || p.is("{") {
-                    depth += 1;
-                } else if p.is(")") || p.is("]") || p.is("}") {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                } else if depth == 0 && (p.is(",") || p.is(";")) {
-                    break;
-                }
-                m += 1;
-            }
-            if m == body_start {
-                continue; // empty body — not a closure we can analyze
-            }
-            (body_start, m - 1)
-        };
-        out.push(ClosureItem {
-            params,
-            body,
-            line: t.line,
-            is_move,
-        });
-    }
-    out
+    Some((StaticItem { name, in_test }, j + 1))
 }
 
 /// True when the item keyword at `idx` is preceded by a `pub` qualifier
@@ -674,13 +475,8 @@ fn parse_fn(
     let name = name_tok.text.clone();
     let line = tokens.get(fn_idx).map(|t| t.line).unwrap_or(0);
     let mut j = fn_idx + 2;
-    let mut inline_generics = None;
     if tokens.get(j).is_some_and(|t| t.is("<")) {
-        let end = skip_angles(tokens, j);
-        if end > j + 1 {
-            inline_generics = Some((j + 1, end - 1));
-        }
-        j = end;
+        j = skip_angles(tokens, j);
     }
     if !tokens.get(j).is_some_and(|t| t.is("(")) {
         return None;
@@ -708,36 +504,18 @@ fn parse_fn(
         k = r;
     }
 
-    // Body: first `{` before a depth-0 `;` (a `;` means a declaration),
-    // harvesting a `where` clause on the way.
+    // Body: first `{` before a depth-0 `;` (a `;` means a declaration).
     let mut body = None;
-    let mut where_start = None;
-    let mut sig_end = None;
     let mut m = k;
     while let Some(t) = tokens.get(m) {
         if t.is("{") {
-            let close = matching_close(tokens, m, "{", "}");
-            body = Some((m, close));
-            sig_end = Some(m);
+            body = Some((m, matching_close(tokens, m, "{", "}")));
             break;
         }
         if t.is(";") {
-            sig_end = Some(m);
             break;
         }
-        if t.is_ident && t.text == "where" && where_start.is_none() {
-            where_start = Some(m + 1);
-        }
         m += 1;
-    }
-
-    let mut generic_bounds = Vec::new();
-    if let Some((lo, hi)) = inline_generics {
-        collect_bounds(tokens.get(lo..hi).unwrap_or_default(), &mut generic_bounds);
-    }
-    if let Some(w) = where_start {
-        let end = sig_end.unwrap_or(tokens.len());
-        collect_bounds(tokens.get(w..end).unwrap_or_default(), &mut generic_bounds);
     }
 
     Some((
@@ -751,70 +529,9 @@ fn parse_fn(
             ret_primary,
             body,
             in_test,
-            generic_bounds,
         },
         params_close + 1,
     ))
-}
-
-/// Collect `T: Bound + Bound` clauses from a token range (an inline
-/// generics list without its angle brackets, or a `where` clause body)
-/// into `out`. Bound identifiers are gathered flat — for
-/// `F: Fn(T) -> R + Sync` that is `[Fn, T, R, Sync]` — an
-/// over-approximation that errs toward discovering *more* parallel
-/// boundaries, never fewer.
-fn collect_bounds(tokens: &[Token], out: &mut Vec<(String, Vec<String>)>) {
-    let flush = |start: usize, end: usize, out: &mut Vec<(String, Vec<String>)>| {
-        let clause = tokens.get(start..end).unwrap_or_default();
-        let mut depth = 0i32;
-        let mut colon = None;
-        for (i, t) in clause.iter().enumerate() {
-            if t.is("(") || t.is("[") || t.is("{") || t.is("<") {
-                depth += 1;
-            } else if t.is(")") || t.is("]") || t.is("}") || t.is(">") {
-                depth -= 1;
-            } else if depth == 0 && t.is(":") {
-                let double = clause.get(i + 1).is_some_and(|n| n.is(":"))
-                    || (i > 0 && clause.get(i - 1).is_some_and(|p| p.is(":")));
-                if !double {
-                    colon = Some(i);
-                    break;
-                }
-            }
-        }
-        let Some(c) = colon else { return };
-        let Some(name) = clause
-            .get(..c)
-            .unwrap_or_default()
-            .iter()
-            .find(|t| t.is_ident)
-        else {
-            return;
-        };
-        let bounds: Vec<String> = clause
-            .get(c + 1..)
-            .unwrap_or_default()
-            .iter()
-            .filter(|t| t.is_ident)
-            .map(|t| t.text.clone())
-            .collect();
-        if !bounds.is_empty() {
-            out.push((name.text.clone(), bounds));
-        }
-    };
-    let mut depth = 0i32;
-    let mut clause_start = 0usize;
-    for (m, t) in tokens.iter().enumerate() {
-        if t.is("(") || t.is("[") || t.is("{") || t.is("<") {
-            depth += 1;
-        } else if t.is(")") || t.is("]") || t.is("}") || t.is(">") {
-            depth -= 1;
-        } else if depth == 0 && t.is(",") {
-            flush(clause_start, m, out);
-            clause_start = m + 1;
-        }
-    }
-    flush(clause_start, tokens.len(), out);
 }
 
 /// Parse a parameter list between `(` at `start-1` and `)` at `end`.
@@ -892,12 +609,7 @@ fn parse_params(tokens: &[Token], start: usize, end: usize) -> (Vec<Param>, bool
 }
 
 /// Parse a `struct` item starting at the `struct` keyword.
-fn parse_struct(
-    tokens: &[Token],
-    struct_idx: usize,
-    is_pub: bool,
-    in_test: bool,
-) -> Option<(StructItem, usize)> {
+fn parse_struct(tokens: &[Token], struct_idx: usize, is_pub: bool) -> Option<(StructItem, usize)> {
     let name = tokens
         .get(struct_idx + 1)
         .filter(|t| t.is_ident)?
@@ -915,45 +627,12 @@ fn parse_struct(
         }
         j += 1;
     }
-    match tokens.get(j) {
-        Some(t) if t.is("{") => {
-            let close = matching_close(tokens, j, "{", "}");
-            let (fields, _) = parse_params(tokens, j + 1, close);
-            Some((
-                StructItem {
-                    name,
-                    is_pub,
-                    line,
-                    fields,
-                    in_test,
-                },
-                close + 1,
-            ))
-        }
-        Some(t) if t.is("(") => {
-            let close = matching_close(tokens, j, "(", ")");
-            Some((
-                StructItem {
-                    name,
-                    is_pub,
-                    line,
-                    fields: Vec::new(),
-                    in_test,
-                },
-                close + 1,
-            ))
-        }
-        _ => Some((
-            StructItem {
-                name,
-                is_pub,
-                line,
-                fields: Vec::new(),
-                in_test,
-            },
-            j + 1,
-        )),
-    }
+    let next = match tokens.get(j) {
+        Some(t) if t.is("{") => matching_close(tokens, j, "{", "}") + 1,
+        Some(t) if t.is("(") => matching_close(tokens, j, "(", ")") + 1,
+        _ => j + 1,
+    };
+    Some((StructItem { name, is_pub, line }, next))
 }
 
 #[cfg(test)]
@@ -1049,17 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_with_types() {
-        let idx = parse("pub struct S { pub records: HashMap<String, u32>, count: usize }");
-        assert_eq!(idx.structs.len(), 1);
-        let s = &idx.structs[0];
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[0].name, "records");
-        assert_eq!(s.fields[0].ty_primary, "HashMap");
-        assert_eq!(s.fields[1].ty_primary, "usize");
-    }
-
-    #[test]
     fn cfg_test_items_are_marked() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests { fn t() {} }";
         let idx = parse(src);
@@ -1070,60 +738,10 @@ mod tests {
 
     #[test]
     fn tuple_and_unit_structs() {
-        let idx = parse("struct T(u32, f64);\nstruct U;");
-        assert_eq!(idx.structs.len(), 2);
-        assert!(idx.structs[0].fields.is_empty());
-        assert!(idx.structs[1].fields.is_empty());
-    }
-
-    #[test]
-    fn generic_bounds_inline_and_where() {
-        let idx = parse(
-            "pub fn parallel_map<T: Send, R: Send, F>(threads: usize, items: Vec<T>, f: F) \
-             -> Vec<R> where F: Fn(T) -> R + Sync { body() }",
-        );
-        let f = &idx.fns[0];
-        assert!(f
-            .generic_bounds
-            .iter()
-            .any(|(ty, b)| ty == "T" && b.contains(&"Send".to_string())));
-        assert!(f.generic_bounds.iter().any(|(ty, b)| ty == "F"
-            && b.contains(&"Fn".to_string())
-            && b.contains(&"Sync".to_string())));
-        assert_eq!(f.sync_closure_params(), vec!["f"]);
-        // A plain callback (no Sync/Send) is not a parallel boundary.
-        let idx = parse("fn for_each<F: FnMut(u32)>(f: F) {}");
-        assert!(idx.fns[0].sync_closure_params().is_empty());
-    }
-
-    #[test]
-    fn closures_are_indexed() {
-        let src = "fn f() { let g = |x: u32, (a, b)| x + a; run(move || { push(v); }); \
-                   match t { A | B => 1, _ => 2 }; let n = c | d; }";
-        let idx = parse(src);
-        assert_eq!(idx.closures.len(), 2, "{:?}", idx.closures);
-        assert_eq!(idx.closures[0].params, vec!["x", "a", "b"]);
-        assert!(!idx.closures[0].is_move);
-        assert!(idx.closures[1].params.is_empty());
-        assert!(idx.closures[1].is_move);
-        // The move closure's body is the braced block.
-        let tokens = lex(src);
-        let (lo, hi) = idx.closures[1].body;
-        assert!(tokens[lo].is("{") && tokens[hi].is("}"));
-        // closures_in finds both inside f's body.
-        let (open, close) = idx.fns[0].body.unwrap();
-        assert_eq!(idx.closures_in(open, close).len(), 2);
-    }
-
-    #[test]
-    fn closure_expression_body_ends_at_comma() {
-        let src = "fn f() { fold(0.0, |acc, x| acc + x, tail); }";
-        let idx = parse(src);
-        assert_eq!(idx.closures.len(), 1);
-        let tokens = lex(src);
-        let (_, hi) = idx.closures[0].body;
-        // Body must stop before the `,` that precedes `tail`.
-        assert!(tokens[hi].is_ident && tokens[hi].text == "x");
+        let idx = parse("struct T(u32, f64);\nstruct U;\npub struct S { count: usize }");
+        let names: Vec<&str> = idx.structs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["T", "U", "S"]);
+        assert!(idx.structs[2].is_pub);
     }
 
     #[test]
@@ -1132,12 +750,8 @@ mod tests {
                    pub static mut RAW: f64 = 0.0;\n\
                    fn f() { let x: &'static str = s; }";
         let idx = parse(src);
-        assert_eq!(idx.statics.len(), 2);
-        assert_eq!(idx.statics[0].name, "VIOLATIONS");
-        assert_eq!(idx.statics[0].ty_primary, "AtomicU64");
-        assert!(!idx.statics[0].is_mut);
-        assert_eq!(idx.statics[1].name, "RAW");
-        assert!(idx.statics[1].is_mut);
+        let names: Vec<&str> = idx.statics.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["VIOLATIONS", "RAW"]);
     }
 
     #[test]

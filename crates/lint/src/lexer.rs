@@ -3,11 +3,9 @@
 //!
 //! The lint rules only need word-level structure (`fn`, `match`, `.` +
 //! `unwrap` + `(`, `ident` + `[` …), so the lexer deliberately does not
-//! classify keywords, numbers or multi-character operators beyond the few
+//! classify keywords, numbers or multi-character operators beyond the two
 //! the rules care about: `=>` and `->` (arm/return markers that would
-//! otherwise confuse angle-bracket depth counts) and the compound
-//! assignments `+=`/`-=`/`*=`/`/=` (order-sensitive accumulation, which
-//! the concurrency commutativity rule must tell apart from a plain `=`).
+//! otherwise confuse angle-bracket depth counts).
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,12 +196,6 @@ pub fn lex(source: &str) -> Vec<Token> {
                 tokens.push(Token::punct("->", line));
                 i += 2;
             }
-            c @ ('+' | '-' | '*' | '/' | '%') if at(i + 1) == Some('=') => {
-                // Compound assignment — `/=` is reached only after the
-                // comment arms above have claimed `//` and `/*`.
-                tokens.push(Token::punct(&format!("{c}="), line));
-                i += 2;
-            }
             c => {
                 tokens.push(Token::punct(&c.to_string(), line));
                 i += 1;
@@ -259,21 +251,6 @@ mod tests {
         let toks = lex("_ => 1,");
         assert!(toks.iter().any(|t| t.is("=>")));
         assert!(!toks.iter().any(|t| t.is("=")));
-    }
-
-    #[test]
-    fn compound_assignments_are_single_tokens() {
-        let toks = lex("a += 1; b -= 2; c *= 3; d /= 4; e %= 5; f = 6; g == 7;");
-        for op in ["+=", "-=", "*=", "/=", "%="] {
-            assert_eq!(toks.iter().filter(|t| t.is(op)).count(), 1, "{op}");
-        }
-        // Plain `=` and the two halves of `==` stay separate tokens.
-        assert_eq!(toks.iter().filter(|t| t.is("=")).count(), 3);
-        // Comments are still stripped before `/=` could misfire.
-        let w: Vec<String> = lex("// x /= 1\nok").into_iter().map(|t| t.text).collect();
-        assert_eq!(w, vec!["ok"]);
-        // `->` still wins over `-=`-style fusing.
-        assert!(lex("fn f() -> u32").iter().any(|t| t.is("->")));
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-#[allow(
+#[expect(
     clippy::disallowed_types,
     reason = "the --timings wall clock measures the analyzer itself and never reaches a report"
 )]
@@ -144,8 +144,7 @@ fn run() -> Result<bool, String> {
         println!(
             "clip-lint: {} file(s), {} fn(s), {} entry point(s), {} violation(s) \
              ({} unit-safety, {} panic-freedom, {} exhaustiveness, {} unit-taint, \
-             {} ledger-coverage, {} shared-state, {} commutativity, {} lock-discipline), \
-             {} allowlisted",
+             {} ledger-coverage, {} lock-discipline), {} allowlisted",
             s.files_scanned,
             s.functions,
             s.entry_points,
@@ -155,8 +154,6 @@ fn run() -> Result<bool, String> {
             s.exhaustiveness,
             s.unit_taint,
             s.ledger_coverage,
-            s.shared_state,
-            s.commutativity,
             s.lock_discipline,
             s.allowlisted
         );
@@ -169,16 +166,6 @@ fn run() -> Result<bool, String> {
             "clip-lint: {} allowlisted panic site(s), {} reachable from scheduler entry points",
             report.panic_reachability.len(),
             reachable
-        );
-        let race_reachable = report
-            .race_reachability
-            .iter()
-            .filter(|p| !p.routes.is_empty())
-            .count();
-        println!(
-            "clip-lint: {} shared-state race site(s), {} reachable from scheduler entry points",
-            report.race_reachability.len(),
-            race_reachable
         );
     }
     eprintln!("clip-lint: analyzed in {elapsed_ms:.1} ms");

@@ -15,8 +15,7 @@
 //!   fallback for standalone per-file scans.
 //!
 //! The workspace-wide rules (unit-taint, ledger-coverage) live in
-//! [`crate::dataflow`] and [`crate::ledger`], and the concurrency rules
-//! (shared-state, commutativity, lock-discipline) in
+//! [`crate::dataflow`] and [`crate::ledger`], and lock-discipline in
 //! [`crate::concurrency`]; their [`Rule`] variants are declared here so
 //! every finding shares one [`Violation`] shape and one allowlist keying
 //! scheme.
@@ -62,12 +61,6 @@ pub enum Rule {
     /// A `PowerScheduler` impl whose `plan`/`plan_subset` never reaches
     /// `BudgetLedger`.
     LedgerCoverage,
-    /// Mutable state reachable from a closure passed across a parallel
-    /// boundary.
-    SharedState,
-    /// Order-sensitive fold (accumulation, shared sink) inside a
-    /// parallel region.
-    Commutativity,
     /// Lock pair acquired in inconsistent order across the call graph.
     LockDiscipline,
 }
@@ -88,8 +81,6 @@ impl Rule {
             Rule::Exhaustiveness => "exhaustiveness",
             Rule::UnitTaint => "unit-taint",
             Rule::LedgerCoverage => "ledger-coverage",
-            Rule::SharedState => "shared-state",
-            Rule::Commutativity => "commutativity",
             Rule::LockDiscipline => "lock-discipline",
         }
     }

@@ -1,12 +1,11 @@
-//! Golden test pinning the `clip-lint --json` report shape (schema v5).
+//! Golden test pinning the `clip-lint --json` report shape (schema v6).
 //!
 //! Downstream tooling parses this document; any field rename, reorder or
 //! type change must show up here as a deliberate diff (and a bump of
 //! `REPORT_VERSION`). The fixture runs the full `analyze()` pipeline so
-//! the transitive sections — `panic_reachability` and `race_reachability`
-//! blast radius and `stale_unreachable` allowlist pruning — are pinned
-//! too. All three concurrency rule families (shared-state,
-//! commutativity, lock-discipline) emit findings on the fixture.
+//! the transitive sections — `panic_reachability` blast radius and
+//! `stale_unreachable` allowlist pruning — are pinned too, and the
+//! lock-discipline rule emits a finding on it.
 
 use clip_lint::{analyze, parse_allowlist, SourceFile};
 
@@ -63,20 +62,9 @@ pub fn pool_changed(tag: ImpactTag) -> bool {
 }
 "#;
 
-/// The concurrency fixture: a `parallel_map`-shaped fork-join helper
-/// (auto-discovered as a parallel boundary from its `Fn… + Sync` bound),
-/// an `EpochEngine::coordinate` entry point whose parallel closure races
-/// on a static through a callee (shared-state, with a blast-radius route)
-/// and accumulates into a captured float (commutativity), and a lock pair
-/// acquired in both orders (lock-discipline).
+/// The concurrency fixture: a lock pair acquired in both orders
+/// (lock-discipline).
 const CONC: &str = r#"
-pub fn parallel_map<T: Send, R: Send, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    F: Fn(T) -> R + Sync,
-{
-    loop {}
-}
-
 pub struct Racy {
     pub hits: Mutex<u64>,
     pub slots: Mutex<u64>,
@@ -92,23 +80,6 @@ impl Racy {
         self.hits.lock();
     }
 }
-
-static TOTAL: AtomicU64 = AtomicU64::new(0);
-
-fn bump() {
-    TOTAL.fetch_add(1);
-}
-
-impl EpochEngine {
-    pub fn coordinate(&mut self, racks: Vec<u64>) {
-        let mut acc = 0.0;
-        parallel_map(racks, |r| {
-            bump();
-            acc += 1.0;
-            r
-        });
-    }
-}
 "#;
 
 const ALLOW: &str = "\
@@ -117,28 +88,14 @@ panic-freedom crates/core/src/offline.rs index  # nothing calls cold()
 ";
 
 const GOLDEN: &str = r#"{
-  "version": 5,
+  "version": 6,
   "violations": [
     {
       "rule": "lock-discipline",
       "file": "crates/cluster/src/shard.rs",
-      "line": 17,
+      "line": 10,
       "name": "Racy.hits",
       "message": "lock-order cycle: `Racy.hits` and `Racy.slots` are acquired in inconsistent order (deadlock risk once regions run in parallel); impose one acquisition order"
-    },
-    {
-      "rule": "shared-state",
-      "file": "crates/cluster/src/shard.rs",
-      "line": 34,
-      "name": "TOTAL",
-      "message": "closure passed to `parallel_map` reaches interior-mutable static `TOTAL` via `bump`: shared mutable state across a parallel boundary"
-    },
-    {
-      "rule": "commutativity",
-      "file": "crates/cluster/src/shard.rs",
-      "line": 36,
-      "name": "acc",
-      "message": "order-sensitive accumulation into captured `acc` inside a closure passed to `parallel_map`; use indexed write-back or allowlist with a reason"
     },
     {
       "rule": "unit-safety",
@@ -186,22 +143,6 @@ const GOLDEN: &str = r#"{
       ]
     }
   ],
-  "race_reachability": [
-    {
-      "file": "crates/cluster/src/shard.rs",
-      "line": 34,
-      "name": "TOTAL",
-      "function": "EpochEngine::coordinate",
-      "routes": [
-        {
-          "entry": "EpochEngine::coordinate",
-          "path": [
-            "EpochEngine::coordinate"
-          ]
-        }
-      ]
-    }
-  ],
   "stale_unreachable": [
     {
       "rule": "panic-freedom",
@@ -211,16 +152,14 @@ const GOLDEN: &str = r#"{
   ],
   "summary": {
     "files_scanned": 5,
-    "functions": 10,
-    "entry_points": 3,
-    "total": 5,
+    "functions": 7,
+    "entry_points": 2,
+    "total": 3,
     "unit_safety": 1,
     "panic_freedom": 0,
     "exhaustiveness": 1,
     "unit_taint": 0,
     "ledger_coverage": 0,
-    "shared_state": 1,
-    "commutativity": 1,
     "lock_discipline": 1,
     "allowlisted": 2
   }

@@ -3,13 +3,20 @@
 #
 #   scripts/ab.sh <base-rev> <workload> [pairs] [seed]
 #
-# Unpacks `git archive <base-rev>` under target/ab/, builds the benchmark
-# (clipbench/) there and in the working tree, then runs BENCHMARK.json's
-# command `pairs` times on each side (default 10 pairs at seed 2017,
-# untraced, each run as long as BENCHMARK.json's `run_seconds`),
-# alternating which side runs first so host drift lands on both. Every run's env line and result line, with the commit each side
-# was built from (the working tree's marked `+dirty` when it has
-# uncommitted changes), go to target/ab/<workload>-<seed>-<date>.jsonl.
+# Unpacks `git archive <base-rev>` under target/ab/base-<12 hex>, and the
+# working tree (tracked and untracked files, less what .gitignore
+# ignores) under target/ab/chng-<12 hex of its tree>, a path of the same
+# length: clipbench's path dependencies compile their absolute source
+# paths into the binary, and a build from a path of another length has
+# moved `service` by several percent on its own. Both copies are cached by
+# hash. Builds the benchmark (clipbench/) in each, then runs
+# BENCHMARK.json's command `pairs` times on each side (default 10 pairs
+# at seed 2017, untraced, each run as long as BENCHMARK.json's
+# `run_seconds`), alternating which side runs first so host drift lands
+# on both. Every run's env line and result line, with the commit each
+# side was built from (HEAD for the change, marked `+dirty` when the
+# working tree has uncommitted changes), go to
+# target/ab/<workload>-<seed>-<date>.jsonl.
 #
 # The summary gives, per end-to-end metric of BENCHMARK.json, each side's
 # median and interquartile range (exclusive quartiles, as the benchmark
@@ -31,20 +38,36 @@ if [ -n "$(git status --porcelain)" ]; then
     change_commit="${change_commit}+dirty"
 fi
 
+# The working tree as a tree object, written through a temporary index
+# so the real index is left alone.
+tmp_index="$(mktemp)"
+trap 'rm -f "$tmp_index"' EXIT
+cp "$(git rev-parse --git-path index)" "$tmp_index"
+GIT_INDEX_FILE="$tmp_index" git add -A
+change_tree="$(GIT_INDEX_FILE="$tmp_index" git write-tree)"
+
+# unpack <tree-ish> <dir>: extract the tree once; later runs reuse it.
+unpack() {
+    if [ ! -d "$2" ]; then
+        rm -rf "$2.tmp"
+        mkdir -p "$2.tmp"
+        git archive "$1" | tar -x -C "$2.tmp"
+        mv "$2.tmp" "$2"
+    fi
+}
 base_dir="target/ab/base-${base_commit:0:12}"
-if [ ! -d "$base_dir" ]; then
-    mkdir -p "$base_dir.tmp"
-    git archive "$base_commit" | tar -x -C "$base_dir.tmp"
-    mv "$base_dir.tmp" "$base_dir"
-fi
+change_dir="target/ab/chng-${change_tree:0:12}"
+unpack "$base_commit" "$base_dir"
+unpack "$change_tree" "$change_dir"
 # Each side builds into its own clipbench/target.
 unset CARGO_TARGET_DIR
-for root in "$base_dir" .; do
+for root in "$base_dir" "$change_dir"; do
     echo "==> building the benchmark in $root" >&2
     (cd "$root" && cargo build --release --offline --quiet --manifest-path clipbench/Cargo.toml)
 done
 
-AB_BASE_DIR="$base_dir" AB_BASE_COMMIT="$base_commit" AB_CHANGE_COMMIT="$change_commit" \
+AB_BASE_DIR="$base_dir" AB_BASE_COMMIT="$base_commit" \
+    AB_CHANGE_DIR="$change_dir" AB_CHANGE_COMMIT="$change_commit" \
     python3 - "$2" "${3:-10}" "${4:-2017}" <<'PY'
 import json, os, statistics, subprocess, sys, time
 
@@ -56,14 +79,14 @@ if workload not in [w["name"] for w in bench["workloads"]]:
 cmd = bench["command"] + [
     "--workload", workload, "--seed", seed, "--seconds", seconds, "--trace", "0",
 ]
-base_dir = os.environ["AB_BASE_DIR"]
 sides = {
-    "base": (base_dir, os.environ["AB_BASE_COMMIT"]),
-    "change": (".", os.environ["AB_CHANGE_COMMIT"]),
+    "base": (os.environ["AB_BASE_DIR"], os.environ["AB_BASE_COMMIT"]),
+    "change": (os.environ["AB_CHANGE_DIR"], os.environ["AB_CHANGE_COMMIT"]),
 }
-# The unpacked base has no .git of its own: stop git at it, so the
-# benchmark's env line reads `unknown` instead of the enclosing checkout.
-base_env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.abspath(os.path.dirname(base_dir)))
+# The unpacked copies have no .git of their own: stop git at target/ab,
+# so the benchmark's env line reads `unknown` on both sides instead of
+# the enclosing checkout's commit.
+copy_env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.abspath("target/ab"))
 
 stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
 log_path = f"target/ab/{workload}-{seed}-{stamp}.jsonl"
@@ -80,8 +103,7 @@ for pair in range(pairs):
     for side in order:
         root, commit = sides[side]
         out = subprocess.run(
-            cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True,
-            env=base_env if side == "base" else None,
+            cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True, env=copy_env,
         ).stdout
         lines = out.strip().splitlines()
         env = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
