@@ -18,12 +18,13 @@
 //!
 //! [`run_job`] executes every rank, blends the ranks' reports into the
 //! [`JobReport`] (the barrier blend and the totals), then emits the
-//! per-rank trace events. A [`JobMemo`] keeps the last job's whole report
-//! and replays it in place when the next job repeats it: the same nodes,
-//! threads, policy, iterations, per-rank workload, app name and
-//! communication model, on nodes with the same caps and [`PowerState`].
-//! Only the RAPL accounting runs again, into the stored report, so the
-//! report, the trace and every counter are what executing would give.
+//! per-rank trace events. A [`JobMemo`] keeps the last job of every app it
+//! has run, each with its whole report, and replays one in place when a
+//! later job repeats it: the same nodes, threads, policy, iterations,
+//! per-rank workload, app name and communication model, on nodes with the
+//! same caps and [`PowerState`]. Only the RAPL accounting runs again, into
+//! the stored report, so the report, the trace and every counter are what
+//! executing would give.
 
 use crate::fleet::Cluster;
 use serde::{Deserialize, Serialize};
@@ -397,7 +398,7 @@ impl JobShape {
     }
 }
 
-/// One rank of the memoized job: its node and what the node's execution
+/// One rank of a memoized job: its node and what the node's execution
 /// read from it.
 #[derive(Debug, Clone, Copy)]
 struct RankMemo {
@@ -406,79 +407,23 @@ struct RankMemo {
     state: PowerState,
 }
 
-/// The last job's whole [`JobReport`], kept so that a job repeating it is
-/// replayed in place instead of simulated again.
-///
-/// The key is every input the report reads: the node ids in order,
-/// threads, policy and iterations; each participant's programmed caps and
-/// [`PowerState`]; the app's [`RankInputs`] (its phases and
-/// odd-concurrency penalty); and the app's name and communication model.
-/// A *hit* (the key matches) re-accounts each rank's interval through its
-/// node's RAPL counters ([`simnode::Node::replay`]) into the stored report
-/// and emits the frames [`run_job`] would. Nothing else is rebuilt: with
-/// the key equal, only each rank's `pkg_energy` and `dram_energy` can
-/// differ from the stored report. That rests on what [`PowerState`]
-/// documents: the barrier blend's other inputs (a node's idle socket and
-/// DRAM base power, its socket count) are fixed when the node is built.
-/// A *miss* runs the job as [`run_job`] does, and its report replaces the
-/// stored one. Floats in the key compare with `==`, so a NaN input never
-/// hits.
+/// One app's memoized job: the key its report was built under, and the
+/// report. Empty until a job has run into it.
 #[derive(Debug, Default)]
-pub struct JobMemo {
+struct MemoEntry {
     shape: Option<JobShape>,
     phases: Vec<Phase>,
     ranks: Vec<RankMemo>,
     report: Option<JobReport>,
 }
 
-impl JobMemo {
-    /// Run `spec` as [`run_job`] does, replaying the last job in place
-    /// when the key matches, and return the report the memo now holds.
-    /// The report, trace events and RAPL counters are bit-identical to
-    /// [`run_job`]'s either way, and it panics where [`run_job`] does, hit
-    /// or miss.
-    pub fn run_or_replay<R: clip_obs::Recorder>(
-        &mut self,
-        cluster: &mut Cluster,
-        spec: &JobSpec<'_>,
-        epoch: u64,
-        rec: &mut R,
-    ) -> &JobReport {
-        let hit = self.replays(cluster, spec);
-        let report = match self.report.take() {
-            Some(mut last) if hit => {
-                for n in &mut last.per_node {
-                    n.report = cluster.node_mut(n.node_id).replay(&n.report);
-                }
-                last
-            }
-            last => {
-                let spent = last.map(|r| r.per_node).unwrap_or_default();
-                let report = execute_ranks(cluster, spec, spent);
-                self.remember(cluster, spec);
-                report
-            }
-        };
-        emit_rank_frames(cluster, &report, epoch, rec);
-        self.report.insert(report)
-    }
-
-    /// The report of the last job run through the memo, if any.
-    pub fn last(&self) -> Option<&JobReport> {
-        self.report.as_ref()
-    }
-
-    /// Whether running `spec` on `cluster` now would replay the memoized
-    /// job. Runs [`run_job`]'s spec checks first, so it panics where
-    /// [`run_job`] does.
-    pub fn replays(&self, cluster: &Cluster, spec: &JobSpec<'_>) -> bool {
-        check_spec(cluster, spec);
+impl MemoEntry {
+    /// Whether `spec` on `cluster`, as its nodes now stand, is this
+    /// entry's job: the key matches and the report is there.
+    fn matches(&self, cluster: &Cluster, spec: &JobSpec<'_>) -> bool {
         let inputs = spec.app.rank_inputs();
         self.shape == Some(JobShape::of(spec, &inputs))
-            && self
-                .report
-                .as_ref()
-                .is_some_and(|r| *r.app_name == *spec.app.name())
+            && self.is_app(spec.app.name())
             && self.phases.iter().eq(inputs.phases())
             && self.ranks.len() == spec.node_ids.len()
             && self
@@ -491,6 +436,11 @@ impl JobMemo {
                         && rank.caps == node.caps()
                         && rank.state == node.power_state()
                 })
+    }
+
+    /// Whether this entry holds a report of the app named `name`.
+    fn is_app(&self, name: &str) -> bool {
+        self.report.as_ref().is_some_and(|r| *r.app_name == *name)
     }
 
     /// Refill the key from `spec` and its nodes as they now stand.
@@ -508,6 +458,108 @@ impl JobMemo {
                 state: node.power_state(),
             }
         }));
+    }
+}
+
+/// The last job of every app run through the memo, each kept with its
+/// whole [`JobReport`], so that a job repeating one is replayed in place
+/// instead of simulated again.
+///
+/// An entry's key is every input its report reads: the node ids in order,
+/// threads, policy and iterations; each participant's programmed caps and
+/// [`PowerState`]; the app's [`RankInputs`] (its phases and
+/// odd-concurrency penalty); and the app's name and communication model.
+/// A *hit* (the key matches) re-accounts each rank's interval through its
+/// node's RAPL counters ([`simnode::Node::replay`]) into the stored report
+/// and emits the frames [`run_job`] would. Nothing else is rebuilt: with
+/// the key equal, only each rank's `pkg_energy` and `dram_energy` can
+/// differ from the stored report, and both are read off the node's
+/// counters as they stand now, whatever ran on it since the entry was
+/// stored. That rests on what [`PowerState`] documents: the barrier
+/// blend's other inputs (a node's idle socket and DRAM base power, its
+/// socket count) are fixed when the node is built. A *miss* runs the job
+/// as [`run_job`] does, into the app's entry, and its report replaces the
+/// stored one. Floats in the key compare with `==`, so a NaN input never
+/// hits.
+///
+/// The entry of the last job's app is *current*, and a job is checked
+/// against it first, as a memo of one job would check it. Only when that
+/// misses and the job runs another app is that app's entry looked up:
+/// it becomes current (an empty entry does, for an app the memo has not
+/// run) and the one it replaces is *parked*, and the job is checked
+/// again. The memo holds one entry per distinct app name it has run, and
+/// a memo that only ever runs one app parks nothing and allocates no list.
+#[derive(Debug, Default)]
+pub struct JobMemo {
+    current: MemoEntry,
+    parked: Vec<MemoEntry>,
+}
+
+impl JobMemo {
+    /// Run `spec` as [`run_job`] does, replaying its app's last job in
+    /// place when the key matches, and return the report the memo now
+    /// holds. The report, trace events and RAPL counters are bit-identical
+    /// to [`run_job`]'s either way, and it panics where [`run_job`] does,
+    /// hit or miss.
+    pub fn run_or_replay<R: clip_obs::Recorder>(
+        &mut self,
+        cluster: &mut Cluster,
+        spec: &JobSpec<'_>,
+        epoch: u64,
+        rec: &mut R,
+    ) -> &JobReport {
+        check_spec(cluster, spec);
+        let hit = self.current.matches(cluster, spec) || self.switch_app(cluster, spec);
+        let current = &mut self.current;
+        let report = match current.report.take() {
+            Some(mut last) if hit => {
+                for n in &mut last.per_node {
+                    n.report = cluster.node_mut(n.node_id).replay(&n.report);
+                }
+                last
+            }
+            last => {
+                let spent = last.map(|r| r.per_node).unwrap_or_default();
+                let report = execute_ranks(cluster, spec, spent);
+                current.remember(cluster, spec);
+                report
+            }
+        };
+        emit_rank_frames(cluster, &report, epoch, rec);
+        current.report.insert(report)
+    }
+
+    /// The report of the last job run through the memo, if any.
+    pub fn last(&self) -> Option<&JobReport> {
+        self.current.report.as_ref()
+    }
+
+    /// Whether running `spec` on `cluster` now would replay a memoized
+    /// job. Runs [`run_job`]'s spec checks first, so it panics where
+    /// [`run_job`] does.
+    pub fn replays(&self, cluster: &Cluster, spec: &JobSpec<'_>) -> bool {
+        check_spec(cluster, spec);
+        self.current.matches(cluster, spec) || self.parked.iter().any(|e| e.matches(cluster, spec))
+    }
+
+    /// After the current entry missed: when `spec` runs another app, make
+    /// that app's entry current (an empty one if the memo has none) and
+    /// park the one it replaces, then say whether the new current entry
+    /// matches. An entry that holds no report is dropped, not parked.
+    fn switch_app(&mut self, cluster: &Cluster, spec: &JobSpec<'_>) -> bool {
+        let name = spec.app.name();
+        if self.current.is_app(name) {
+            return false;
+        }
+        let entry = match self.parked.iter().position(|e| e.is_app(name)) {
+            Some(at) => self.parked.swap_remove(at),
+            None => MemoEntry::default(),
+        };
+        let previous = std::mem::replace(&mut self.current, entry);
+        if previous.report.is_some() {
+            self.parked.push(previous);
+        }
+        self.current.matches(cluster, spec)
     }
 }
 
@@ -827,6 +879,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A memo that only ever runs one app keeps one entry through misses
+    /// (new caps, another node set) and hits alike: it parks nothing and
+    /// allocates no list.
+    #[test]
+    fn a_memo_of_one_app_parks_nothing() {
+        let mut cluster = Cluster::paper_testbed(5);
+        let app = suite::comd();
+        let mut memo = JobMemo::default();
+        let mut replays = Vec::new();
+        for (nodes, cpu) in [(4, 150.0), (4, 150.0), (4, 120.0), (6, 120.0), (6, 120.0)] {
+            cluster.set_uniform_caps(PowerCaps::new(Power::watts(cpu), Power::watts(30.0)));
+            let spec = JobSpec::on_first_nodes(&app, nodes, 24, AffinityPolicy::Compact, 2);
+            replays.push(memo.replays(&cluster, &spec));
+            let _ = memo.run_or_replay(&mut cluster, &spec, 0, &mut clip_obs::NoopRecorder);
+            assert_eq!(memo.parked.capacity(), 0, "after {nodes} nodes at {cpu} W");
+        }
+        assert_eq!(replays, [false, true, false, false, true]);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   barrier-wait idling; [`job_time`] is the same job's wall time alone,
 //!   and [`job_time_below`] stops timing ranks once that time is proven
 //!   to reach a bound ([`first_rank_time_below`] times only the first).
-//!   A [`JobMemo`] keeps the last job's report and replays a job that
-//!   repeats it in place instead of simulating its ranks again.
+//!   A [`JobMemo`] keeps the last job of every app with its report and
+//!   replays a job that repeats one in place instead of simulating its
+//!   ranks again.
 //! - [`sweep`]: a small fork-join helper for parallel configuration sweeps
 //!   (used by the exhaustive Oracle baseline and the figure harnesses).
 //! - [`faults`]: deterministic, seeded fault injection — timelines of node

@@ -59,11 +59,15 @@ impl VariabilityModel {
     }
 
     /// The relative spread `(max − min) / min` of a factor set — the
-    /// quantity CLIP compares against its coordination threshold.
-    pub fn spread(factors: &[f64]) -> f64 {
-        assert!(!factors.is_empty());
-        let min = factors.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = factors.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    /// quantity CLIP compares against its coordination threshold. Takes
+    /// the factors by value, so a caller can read them off the pairs it
+    /// holds without collecting them. Panics on an empty set.
+    pub fn spread(factors: impl IntoIterator<Item = f64>) -> f64 {
+        let (min, max, count) = factors.into_iter().fold(
+            (f64::INFINITY, f64::NEG_INFINITY, 0usize),
+            |(min, max, count), f| (min.min(f), max.max(f), count + 1),
+        );
+        assert!(count > 0, "spread of no factors");
         (max - min) / min
     }
 }
@@ -96,12 +100,12 @@ mod tests {
     fn higher_sigma_more_spread() {
         let tight = VariabilityModel::with_sigma(0.01).sample(32, 5);
         let loose = VariabilityModel::with_sigma(0.10).sample(32, 5);
-        assert!(VariabilityModel::spread(&loose) > VariabilityModel::spread(&tight));
+        assert!(VariabilityModel::spread(loose) > VariabilityModel::spread(tight));
     }
 
     #[test]
     fn spread_of_uniform_is_zero() {
-        assert_eq!(VariabilityModel::spread(&[1.0, 1.0, 1.0]), 0.0);
+        assert_eq!(VariabilityModel::spread([1.0, 1.0, 1.0]), 0.0);
     }
 
     #[test]

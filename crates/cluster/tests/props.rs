@@ -170,12 +170,16 @@ proptest! {
         prop_assert_eq!(j1.cluster_power, j2.cluster_power);
     }
 
-    /// A job memo run after run gives `run_job`'s report and leaves every
-    /// node's RAPL registers and accounted time where `run_job` leaves
-    /// them, bit for bit, whatever changes between runs: a node's caps,
-    /// jitter or efficiency, the node set, or only the app's name or only
-    /// its communication model. A run that changes nothing replays, and a
-    /// run that changes only the name or the communication model misses.
+    /// A job memo run after run gives `run_job`'s report and frames, and
+    /// leaves every node's RAPL registers and accounted time where
+    /// `run_job` leaves them, bit for bit, whatever changes between runs:
+    /// a node's caps, jitter or efficiency, the node set, the app (one of
+    /// three, so the memo returns to apps it has parked), or only the
+    /// app's name or only its communication model. A run replays exactly
+    /// when its app's last run had the same key: the same app, node set,
+    /// and caps and power state on each of those nodes. So a run that
+    /// changes nothing replays, and a run that changes only the name or
+    /// the communication model misses.
     #[test]
     fn memo_replay_matches_run_job(
         seed in any::<u64>(),
@@ -185,18 +189,28 @@ proptest! {
         policy in policy_strategy(),
         cap_cpu in 60.0f64..200.0,
         steps in prop::collection::vec(
-            (0u8..8, 0usize..8, 60.0f64..200.0, -0.08f64..0.08, 0.9f64..1.1),
-            1..16,
+            (0u8..10, 0usize..8, 60.0f64..200.0, -0.08f64..0.08, 0.9f64..1.1),
+            1..24,
         ),
     ) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut app = corpus::gen_mixed(&mut rng, 0);
+        let mut apps: Vec<AppModel> = (0..3).map(|idx| corpus::gen_mixed(&mut rng, idx)).collect();
+        let mut pick = 0;
         let mut memoized =
             Cluster::with_variability(8, &VariabilityModel::with_sigma(sigma), seed);
         memoized.set_uniform_caps(PowerCaps::new(Power::watts(cap_cpu), Power::watts(25.0)));
         let mut twin = memoized.clone();
         let mut node_ids: Vec<usize> = (0..nodes).collect();
         let mut memo = JobMemo::default();
+        // Each app's key at its last run, found by the app's name.
+        let key = |cluster: &Cluster, app: &AppModel, ids: &[usize]| {
+            let nodes: Vec<_> = ids
+                .iter()
+                .map(|&id| (cluster.node(id).caps(), cluster.node(id).power_state()))
+                .collect();
+            (app.name().to_string(), app.comm().clone(), ids.to_vec(), nodes)
+        };
+        let mut last_keys = Vec::new();
         for (step, &(kind, node, cpu, jitter, efficiency)) in steps.iter().enumerate() {
             for cluster in [&mut memoized, &mut twin] {
                 match kind {
@@ -208,6 +222,7 @@ proptest! {
                     _ => {}
                 }
             }
+            let mut switched = false;
             match kind {
                 5 => match node_ids.iter().position(|&id| id == node) {
                     Some(at) if node_ids.len() > 1 => {
@@ -217,38 +232,59 @@ proptest! {
                     None => node_ids.push(node),
                 },
                 6 => {
-                    app = AppModel::new(format!("{}'", app.name()), app.phases().to_vec())
+                    let app = &apps[pick];
+                    apps[pick] = AppModel::new(format!("{}'", app.name()), app.phases().to_vec())
                         .with_odd_penalty(app.odd_penalty())
                         .with_comm(app.comm().clone());
                 }
                 7 => {
                     let comm = CommModel {
-                        alpha: app.comm().alpha + 1e-3,
-                        ..app.comm().clone()
+                        alpha: apps[pick].comm().alpha + 1e-3,
+                        ..apps[pick].comm().clone()
                     };
-                    app = app.with_comm(comm);
+                    apps[pick] = apps[pick].clone().with_comm(comm);
+                }
+                8 | 9 => {
+                    switched = pick != node % apps.len();
+                    pick = node % apps.len();
                 }
                 _ => {}
             }
+            let app = &apps[pick];
             let spec = JobSpec {
-                app: &app,
+                app,
                 node_ids: node_ids.clone().into(),
                 threads_per_node: threads,
                 policy,
                 iterations: 2,
             };
-            if step > 0 && kind < 2 {
+            if step > 0 && (kind < 2 || (kind >= 8 && !switched)) {
                 prop_assert!(memo.replays(&memoized, &spec), "step {step} repeats");
             }
-            if kind >= 6 {
+            if kind == 6 || kind == 7 {
                 prop_assert!(!memo.replays(&memoized, &spec), "step {step} changes the app");
             }
-            let got = memo.run_or_replay(&mut memoized, &spec, 0, &mut clip_obs::NoopRecorder);
-            let want = run_job(&mut twin, &spec, 0, &mut clip_obs::NoopRecorder);
+            let now = key(&memoized, app, &node_ids);
+            prop_assert_eq!(
+                memo.replays(&memoized, &spec),
+                last_keys.contains(&now),
+                "step {}: replays",
+                step
+            );
+            last_keys.retain(|last: &(String, _, _, _)| last.0 != now.0);
+            last_keys.push(now);
+
+            let ring = || clip_obs::TraceRecorder::new(clip_obs::RingSink::new(64));
+            let (mut got_rec, mut want_rec) = (ring(), ring());
+            let got = memo.run_or_replay(&mut memoized, &spec, step as u64, &mut got_rec);
+            let want = run_job(&mut twin, &spec, step as u64, &mut want_rec);
             prop_assert_eq!(
                 serde_json::to_string(&got).unwrap(),
                 serde_json::to_string(&want).unwrap()
             );
+            let (got_frames, want_frames) = (got_rec.finish(), want_rec.finish());
+            prop_assert_eq!(got_frames.dropped(), 0);
+            prop_assert!(got_frames.frames().eq(want_frames.frames()), "step {step}: frames");
             for id in 0..memoized.len() {
                 let (a, b) = (memoized.node(id), twin.node(id));
                 prop_assert_eq!(a.rapl_pkg_raw(), b.rapl_pkg_raw());

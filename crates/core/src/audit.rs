@@ -207,7 +207,17 @@ impl<'a> BudgetLedger<'a> {
                 ),
             ));
         }
-        let cpu_before: f64 = before.iter().map(|c| c.cpu.as_watts()).sum();
+        self.check_shift_sums(before.iter().copied(), after)
+    }
+
+    /// Rule 3's sums: the CPU and the total sums of `before` and `after`
+    /// agree within the tolerance.
+    fn check_shift_sums(
+        &self,
+        before: impl Iterator<Item = PowerCaps> + Clone,
+        after: &[PowerCaps],
+    ) -> Result<(), AuditViolation> {
+        let cpu_before: f64 = before.clone().map(|c| c.cpu.as_watts()).sum();
         let cpu_after: f64 = after.iter().map(|c| c.cpu.as_watts()).sum();
         if (cpu_before - cpu_after).abs() > TOLERANCE_WATTS {
             return Err(self.violation(
@@ -215,7 +225,7 @@ impl<'a> BudgetLedger<'a> {
                 format!("shift changed the CPU sum: {cpu_before:.6} W → {cpu_after:.6} W"),
             ));
         }
-        let tot_before: f64 = before.iter().map(|c| c.total().as_watts()).sum();
+        let tot_before: f64 = before.map(|c| c.total().as_watts()).sum();
         let tot_after: f64 = after.iter().map(|c| c.total().as_watts()).sum();
         if (tot_before - tot_after).abs() > TOLERANCE_WATTS {
             return Err(self.violation(
@@ -311,6 +321,16 @@ impl<'a> BudgetLedger<'a> {
     /// Enforce rule 3 on a variability shift.
     pub fn audit_shift(&self, before: &[PowerCaps], after: &[PowerCaps]) {
         if let Err(v) = self.try_audit_shift(before, after) {
+            enforce(&v);
+        }
+    }
+
+    /// Enforce rule 3 on a shift away from `uniform` caps on every node:
+    /// [`BudgetLedger::audit_shift`] with `after.len()` copies of `uniform`
+    /// before it, without building them.
+    pub fn audit_uniform_shift(&self, uniform: PowerCaps, after: &[PowerCaps]) {
+        let before = std::iter::repeat_n(uniform, after.len());
+        if let Err(v) = self.check_shift_sums(before, after) {
             enforce(&v);
         }
     }

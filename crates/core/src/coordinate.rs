@@ -113,15 +113,16 @@ impl CalibrationTable {
     ) -> (Vec<usize>, Vec<PowerCaps>, f64) {
         self.measure(cluster, pool);
         keep_thriftiest(&mut self.ranked, n);
-        let factors: Vec<f64> = self.ranked.iter().map(|&(_, f)| f).collect();
-        let caps = coordinate_caps(uniform, &factors, threshold);
-        ledger.audit_shift(&vec![uniform; caps.len()], &caps);
+        let factors = self.ranked.iter().map(|&(_, f)| f);
+        let spread = VariabilityModel::spread(factors.clone());
+        let caps = shift_caps(uniform, factors, spread, threshold);
+        ledger.audit_uniform_shift(uniform, &caps);
         let ids = self
             .ranked
             .iter()
             .map(|&(position, _)| pool.get(position).copied().unwrap_or_default())
             .collect();
-        (ids, caps, VariabilityModel::spread(&factors))
+        (ids, caps, spread)
     }
 }
 
@@ -148,15 +149,30 @@ fn keep_thriftiest(ranked: &mut Vec<(usize, f64)>, n: usize) {
 /// uniform caps unchanged. DRAM caps are not shifted (DRAM power does not
 /// vary with core process variation). The sum of CPU caps is preserved.
 pub fn coordinate_caps(uniform: PowerCaps, factors: &[f64], threshold: f64) -> Vec<PowerCaps> {
-    assert!(!factors.is_empty());
+    let factors = factors.iter().copied();
+    shift_caps(
+        uniform,
+        factors.clone(),
+        VariabilityModel::spread(factors),
+        threshold,
+    )
+}
+
+/// [`coordinate_caps`] on factors whose `spread` is known, read from any
+/// iterator with the same float operations.
+fn shift_caps(
+    uniform: PowerCaps,
+    factors: impl ExactSizeIterator<Item = f64> + Clone,
+    spread: f64,
+    threshold: f64,
+) -> Vec<PowerCaps> {
     assert!(threshold >= 0.0);
-    if VariabilityModel::spread(factors) <= threshold {
+    if spread <= threshold {
         return vec![uniform; factors.len()];
     }
-    let mean = factors.iter().sum::<f64>() / factors.len() as f64;
+    let mean = factors.clone().sum::<f64>() / factors.len() as f64;
     factors
-        .iter()
-        .map(|&f| {
+        .map(|f| {
             let cpu = uniform.cpu * (f / mean);
             PowerCaps::new(cpu.max(Power::watts(1.0)), uniform.dram)
         })

@@ -15,9 +15,9 @@
 //!    the scheduler's buffered decision events;
 //! 4. RAPL/DVFS actuation + job execution: the plan is programmed as
 //!    [`crate::execute_plan`] programs it, and the job runs through the
-//!    engine's [`JobMemo`], so an epoch that repeats the last one on nodes
-//!    in the same state replays the memo's report in place instead of
-//!    simulating its ranks;
+//!    engine's [`JobMemo`], so an epoch that repeats the last job of its
+//!    app on nodes in the same state replays that job's report in place
+//!    instead of simulating its ranks;
 //! 5. ledger plan audit and actuation audit (injected jitter classified,
 //!    not punished);
 //! 6. trace/metric emission, gated on [`Recorder::enabled`].
@@ -511,8 +511,8 @@ pub struct EpochPrep {
 
 /// The recorder-generic epoch engine.
 ///
-/// Owns the cluster budget, the current epoch stamp, the recorder and the
-/// last job's [`JobMemo`]; the scheduler is borrowed per call so drivers
+/// Owns the cluster budget, the current epoch stamp, the recorder and a
+/// [`JobMemo`] of each app's last job; the scheduler is borrowed per call so drivers
 /// (like the dispatcher) can consult their scheduler between engine calls.
 /// Construct with a [`NoopRecorder`] for the zero-cost untraced path, or
 /// with `&mut TraceRecorder` to narrate every decision point.
@@ -596,9 +596,9 @@ impl<R: Recorder> EpochEngine<R> {
 
     /// Actuate and execute a plan at the current epoch stamp: program the
     /// caps (RAPL) as [`crate::execute_plan`] does, then run the job
-    /// through the engine's [`JobMemo`]. A job that repeats the engine's
-    /// last one, on nodes with the same caps and power state, is replayed
-    /// in place. The report, trace events and RAPL counters are the ones
+    /// through the engine's [`JobMemo`]. A job that repeats the last job
+    /// of its app, on nodes with the same caps and power state, is
+    /// replayed in place. The report, trace events and RAPL counters are the ones
     /// `execute_plan` gives either way. Returns a copy of the report the
     /// memo keeps; [`EpochEngine::run`] and the rack pool of
     /// [`crate::run_sharded`] settle from the memo's report instead.
@@ -1063,11 +1063,54 @@ mod tests {
         ("repeat other communication model", true, |_| {}),
     ];
 
+    /// Run `job` at `epoch` through `EpochEngine::execute` and through
+    /// `execute_plan` on the twin fleet. The reports must serialize to the
+    /// same bytes, and every node's RAPL registers and accounted time must
+    /// agree bit for bit. Returns whether the engine's memo replayed it.
+    fn run_both<R: Recorder>(
+        engine: &mut EpochEngine<R>,
+        cluster: &mut Cluster,
+        twin: &mut Cluster,
+        ref_rec: &mut R,
+        job: &ScriptJob,
+        epoch: u64,
+        what: &str,
+    ) -> bool {
+        engine.set_epoch(epoch);
+        // Program the caps as `execute` will, to ask the memo first.
+        let spec = program_plan(
+            cluster,
+            &job.app,
+            &job.plan,
+            job.iterations,
+            epoch,
+            &mut NoopRecorder,
+        );
+        let replayed = engine.memo.replays(cluster, &spec);
+        let got = engine.execute(cluster, &job.app, &job.plan, job.iterations);
+        let want = execute_plan(twin, &job.app, &job.plan, job.iterations, epoch, ref_rec);
+        assert_eq!(&*got.app_name, job.app.name(), "{what}");
+        assert_eq!(
+            serde_json::to_string(&got).unwrap(),
+            serde_json::to_string(&want).unwrap(),
+            "{what}"
+        );
+        for id in 0..cluster.len() {
+            let (a, b) = (cluster.node(id), twin.node(id));
+            assert_eq!(a.rapl_pkg_raw(), b.rapl_pkg_raw(), "{what}: node {id}");
+            assert_eq!(a.rapl_dram_raw(), b.rapl_dram_raw(), "{what}: node {id}");
+            assert_eq!(
+                a.rapl_elapsed().as_secs().to_bits(),
+                b.rapl_elapsed().as_secs().to_bits(),
+                "{what}: node {id}"
+            );
+        }
+        replayed
+    }
+
     /// Drive `EpochEngine::execute` through [`SCRIPT`] and a crash, and
-    /// run every step through `execute_plan` on a twin fleet. After each
-    /// step the reports serialize to the same bytes and every node's RAPL
-    /// registers and accounted time agree bit for bit. Returns both
-    /// recorders.
+    /// run every step through `execute_plan` on a twin fleet, checked by
+    /// [`run_both`]. Returns both recorders.
     fn run_script<R: Recorder>(engine_rec: R, mut ref_rec: R) -> (R, R) {
         let mut cluster = Cluster::paper_testbed(11);
         let mut twin = cluster.clone();
@@ -1095,42 +1138,15 @@ mod tests {
             job.apply(&mut cluster);
             job.apply(&mut twin);
             let epoch = step as u64;
-            engine.set_epoch(epoch);
-            // Program the caps as `execute` will, to ask the memo first.
-            let spec = program_plan(
+            let replayed = run_both(
+                &mut engine,
                 &mut cluster,
-                &job.app,
-                &job.plan,
-                job.iterations,
-                epoch,
-                &mut NoopRecorder,
-            );
-            let replayed = engine.memo.replays(&cluster, &spec);
-            let got = engine.execute(&mut cluster, &job.app, &job.plan, job.iterations);
-            let want = execute_plan(
                 &mut twin,
-                &job.app,
-                &job.plan,
-                job.iterations,
-                epoch,
                 &mut ref_rec,
+                &job,
+                epoch,
+                what,
             );
-            assert_eq!(&*got.app_name, job.app.name(), "{what}");
-            assert_eq!(
-                serde_json::to_string(&got).unwrap(),
-                serde_json::to_string(&want).unwrap(),
-                "{what}"
-            );
-            for id in 0..cluster.len() {
-                let (a, b) = (cluster.node(id), twin.node(id));
-                assert_eq!(a.rapl_pkg_raw(), b.rapl_pkg_raw(), "{what}: node {id}");
-                assert_eq!(a.rapl_dram_raw(), b.rapl_dram_raw(), "{what}: node {id}");
-                assert_eq!(
-                    a.rapl_elapsed().as_secs().to_bits(),
-                    b.rapl_elapsed().as_secs().to_bits(),
-                    "{what}: node {id}"
-                );
-            }
             assert_eq!(replayed, *replays, "{what}: replayed");
         }
 
@@ -1167,6 +1183,87 @@ mod tests {
         let (got, want) = run_script(ring(), ring());
         let (got, want) = (got.finish(), want.finish());
         assert_eq!(got.dropped(), 0, "the ring holds the whole script");
+        assert!(!got.is_empty());
+        assert!(got.frames().eq(want.frames()), "trace frames differ");
+    }
+
+    /// The service's shape: three apps take turns on overlapping node
+    /// sets, each under its own caps, and a node drifts between turns.
+    /// Each turn runs through `EpochEngine::execute` and `execute_plan`
+    /// on a twin fleet, checked by [`run_both`]. The engine's memo
+    /// returns to an app's parked job while its key holds (A, B, A, C, A,
+    /// B), and simulates again once a node the job ran on has drifted.
+    /// Returns both recorders.
+    fn run_turns<R: Recorder>(engine_rec: R, mut ref_rec: R) -> (R, R) {
+        let mut cluster = Cluster::paper_testbed(11);
+        let mut twin = cluster.clone();
+        let mut engine = EpochEngine::new(Power::watts(2000.0), engine_rec);
+        let job = |app: AppModel, node_ids: Vec<usize>, cpu: f64| ScriptJob {
+            app,
+            plan: SchedulePlan {
+                scheduler: "turns".to_string(),
+                caps: node_ids
+                    .iter()
+                    .map(|_| simnode::PowerCaps::new(Power::watts(cpu), Power::watts(22.0)))
+                    .collect(),
+                node_ids,
+                threads_per_node: 24,
+                policy: simnode::AffinityPolicy::Compact,
+            },
+            iterations: 2,
+            efficiency: 1.0,
+            jitter: 0.0,
+        };
+        let jobs = [
+            job(suite::comd(), vec![0, 1, 2, 3, 4], 120.0),
+            job(suite::amg(), vec![2, 3, 4, 5, 6, 7], 105.0),
+            job(suite::tea_leaf(), vec![1, 3, 5, 7], 140.0),
+        ];
+        // (what, job, whether the memo replays it, whether node 1 drifts
+        // first).
+        let turns = [
+            ("A", 0, false, false),
+            ("B", 1, false, false),
+            ("A again", 0, true, false),
+            ("C", 2, false, false),
+            ("A a third time", 0, true, false),
+            ("B again", 1, true, false),
+            ("C after node 1 drifts", 2, false, true),
+            ("A, which ran on node 1", 0, false, false),
+            ("A repeated", 0, true, false),
+            ("B, which did not", 1, true, false),
+        ];
+        for (turn, &(what, at, replays, drift)) in turns.iter().enumerate() {
+            if drift {
+                let drifted = cluster.node(1).power_model().efficiency * 1.03;
+                cluster.set_node_efficiency(1, drifted);
+                twin.set_node_efficiency(1, drifted);
+            }
+            let replayed = run_both(
+                &mut engine,
+                &mut cluster,
+                &mut twin,
+                &mut ref_rec,
+                &jobs[at],
+                turn as u64,
+                what,
+            );
+            assert_eq!(replayed, replays, "{what}: replayed");
+        }
+        (engine.into_recorder(), ref_rec)
+    }
+
+    #[test]
+    fn engine_returns_to_parked_apps_bit_identically() {
+        let _ = run_turns(NoopRecorder, NoopRecorder);
+    }
+
+    #[test]
+    fn traced_turns_emit_execute_plans_frames() {
+        let ring = || clip_obs::TraceRecorder::new(clip_obs::RingSink::new(1 << 14));
+        let (got, want) = run_turns(ring(), ring());
+        let (got, want) = (got.finish(), want.finish());
+        assert_eq!(got.dropped(), 0, "the ring holds every turn");
         assert!(!got.is_empty());
         assert!(got.frames().eq(want.frames()), "trace frames differ");
     }

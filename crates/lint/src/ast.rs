@@ -52,12 +52,8 @@ pub struct ParsedSource {
 pub struct Param {
     /// Binding name.
     pub name: String,
-    /// Flattened type tokens, space-joined (e.g. `Vec < usize >`).
-    pub ty: String,
     /// Primary type identifier (first path ident: `Vec`, `f64`, `Power`).
     pub ty_primary: String,
-    /// 1-based line of the name token.
-    pub line: u32,
 }
 
 /// Who owns a function item.
@@ -111,10 +107,6 @@ pub struct StaticItem {
 pub struct StructItem {
     /// Struct name.
     pub name: String,
-    /// Declared `pub`.
-    pub is_pub: bool,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
 }
 
 /// One indexed `enum` item.
@@ -124,8 +116,6 @@ pub struct EnumItem {
     pub name: String,
     /// Declared `pub`.
     pub is_pub: bool,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
     /// Traits named in `#[derive(…)]` attributes directly above the item.
     pub derives: Vec<String>,
     /// Starts inside a `#[cfg(test)]` span.
@@ -258,7 +248,7 @@ pub fn parse_file(tokens: &[Token], excluded: &[(usize, usize)]) -> FileIndex {
                 }
             }
             "struct" => {
-                if let Some((item, next)) = parse_struct(tokens, i, preceded_by_pub(tokens, i)) {
+                if let Some((item, next)) = parse_struct(tokens, i) {
                     index.structs.push(item);
                     i = next;
                     derives.clear();
@@ -275,7 +265,6 @@ pub fn parse_file(tokens: &[Token], excluded: &[(usize, usize)]) -> FileIndex {
                     index.enums.push(EnumItem {
                         name,
                         is_pub: preceded_by_pub(tokens, i),
-                        line: t.line,
                         derives: derives.clone(),
                         in_test: in_excluded(i),
                     });
@@ -584,22 +573,16 @@ fn parse_params(tokens: &[Token], start: usize, end: usize) -> (Vec<Param>, bool
                 .rev()
                 .find(|t| t.is_ident && t.text != "mut" && t.text != "ref");
             if let Some(nt) = name_tok {
-                let ty_tokens = tokens.get(c + 1..param_end).unwrap_or_default();
-                let ty = ty_tokens
-                    .iter()
-                    .map(|t| t.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                let ty_primary = ty_tokens
+                let ty_primary = tokens
+                    .get(c + 1..param_end)
+                    .unwrap_or_default()
                     .iter()
                     .find(|t| t.is_ident && t.text != "mut" && t.text != "dyn" && t.text != "impl")
                     .map(|t| t.text.clone())
                     .unwrap_or_default();
                 params.push(Param {
                     name: nt.text.clone(),
-                    ty,
                     ty_primary,
-                    line: nt.line,
                 });
             }
         }
@@ -609,13 +592,12 @@ fn parse_params(tokens: &[Token], start: usize, end: usize) -> (Vec<Param>, bool
 }
 
 /// Parse a `struct` item starting at the `struct` keyword.
-fn parse_struct(tokens: &[Token], struct_idx: usize, is_pub: bool) -> Option<(StructItem, usize)> {
+fn parse_struct(tokens: &[Token], struct_idx: usize) -> Option<(StructItem, usize)> {
     let name = tokens
         .get(struct_idx + 1)
         .filter(|t| t.is_ident)?
         .text
         .clone();
-    let line = tokens.get(struct_idx).map(|t| t.line).unwrap_or(0);
     let mut j = struct_idx + 2;
     if tokens.get(j).is_some_and(|t| t.is("<")) {
         j = skip_angles(tokens, j);
@@ -632,7 +614,7 @@ fn parse_struct(tokens: &[Token], struct_idx: usize, is_pub: bool) -> Option<(St
         Some(t) if t.is("(") => matching_close(tokens, j, "(", ")") + 1,
         _ => j + 1,
     };
-    Some((StructItem { name, is_pub, line }, next))
+    Some((StructItem { name }, next))
 }
 
 #[cfg(test)]
@@ -741,7 +723,6 @@ mod tests {
         let idx = parse("struct T(u32, f64);\nstruct U;\npub struct S { count: usize }");
         let names: Vec<&str> = idx.structs.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["T", "U", "S"]);
-        assert!(idx.structs[2].is_pub);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::wire::{Cursor, Wire, WireError};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -80,13 +81,13 @@ impl Histogram {
         Self::with_bounds(DEFAULT_BUCKETS.to_vec())
     }
 
-    /// Record one observation.
+    /// Record one observation into the first bucket whose bound is at
+    /// least `value`, found by binary search over the ascending bounds. A
+    /// NaN compares to no bound, so it lands in the overflow bucket.
     pub fn observe(&mut self, value: f64) {
         let slot = self
             .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .partition_point(|b| matches!(value.partial_cmp(b), Some(Ordering::Greater) | None));
         if let Some(c) = self.counts.get_mut(slot) {
             *c += 1;
         }
@@ -336,6 +337,55 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The values a comparison treats specially.
+    const SPECIAL: [f64; 7] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+        1.0,
+    ];
+
+    /// A bound or an observation: any float, a small one, or a special
+    /// value.
+    fn float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<f64>(),
+            -1e3f64..1e3,
+            (0..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The binary search puts every observation in the bucket the
+        /// linear scan it replaced picks: the first bound at least the
+        /// value, else overflow. Bounds are strictly ascending, any of them
+        /// ±0 or ±∞; values include ±0, ±∞ and NaN, and every bound itself.
+        #[test]
+        fn observe_finds_the_linear_scans_bucket(
+            draws in prop::collection::vec(float(), 1..24),
+            values in prop::collection::vec(float(), 0..16),
+        ) {
+            let mut bounds: Vec<f64> = draws.into_iter().filter(|b| !b.is_nan()).collect();
+            bounds.sort_by(f64::total_cmp);
+            bounds.dedup_by(|a, b| a == b);
+            prop_assume!(!bounds.is_empty());
+            let mut hist = Histogram::with_bounds(bounds.clone());
+            let mut want = vec![0u64; bounds.len() + 1];
+            for &value in values.iter().chain(&bounds) {
+                let slot = bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len());
+                want[slot] += 1;
+                hist.observe(value);
+            }
+            prop_assert_eq!(&hist.counts, &want);
+        }
+    }
 
     #[test]
     fn counters_accumulate_and_gauges_overwrite() {

@@ -17,7 +17,7 @@
 use crate::event::{EventClass, TraceEvent};
 use crate::metrics::MetricRegistry;
 use crate::sink::TraceSink;
-use crate::wire::FrameEncoder;
+use crate::wire;
 
 /// A bitset over [`EventClass`]: which classes a recorder keeps.
 ///
@@ -180,8 +180,6 @@ pub struct TraceRecorder<S: TraceSink> {
     metrics: MetricRegistry,
     seq: u64,
     filter: TraceFilter,
-    /// Wire encoder with its own payload scratch, reused across emits.
-    enc: FrameEncoder,
     /// Frame buffer reused across [`emit`](Self::emit) calls so a traced
     /// run pays one allocation per high-water frame length, not one per
     /// record.
@@ -201,7 +199,6 @@ impl<S: TraceSink> TraceRecorder<S> {
             metrics: MetricRegistry::new(),
             seq: 0,
             filter,
-            enc: FrameEncoder::new(),
             frame_buf: Vec::with_capacity(256),
         }
     }
@@ -230,7 +227,7 @@ impl<S: TraceSink> TraceRecorder<S> {
         if !self.metrics.is_empty() {
             // Encoded straight from the registry — byte-identical to
             // emitting an owning `MetricsSnapshot` event, minus the clone.
-            self.enc.encode_metrics_snapshot(
+            wire::encode_metrics_snapshot_into(
                 self.seq,
                 u64::MAX,
                 &self.metrics,
@@ -244,7 +241,7 @@ impl<S: TraceSink> TraceRecorder<S> {
     }
 
     fn emit(&mut self, epoch: u64, event: &TraceEvent) {
-        self.enc.encode(self.seq, epoch, event, &mut self.frame_buf);
+        wire::encode_into(self.seq, epoch, event, &mut self.frame_buf);
         self.seq += 1;
         self.sink.write_frame(&self.frame_buf);
     }

@@ -5,8 +5,8 @@
 //! to a [`TraceSink`]; sinks are dumb byte movers, so byte-identical
 //! traces are guaranteed by construction no matter which sink is plugged
 //! in. Two implementations ship: [`BinarySink`], a batching file writer
-//! with bounded flush-on-N-frames/K-bytes semantics, and [`RingSink`], a
-//! bounded in-memory ring buffer for tests and flight-recorder capture.
+//! that flushes every 64 KiB, and [`RingSink`], a bounded in-memory ring
+//! buffer for tests and flight-recorder capture.
 //! JSONL is no longer a sink: it is an export format, produced offline by
 //! `clip-trace export` or [`RingSink::to_jsonl`].
 
@@ -33,20 +33,19 @@ pub trait TraceSink {
     }
 }
 
-/// How many buffered frames trigger a [`BinarySink`] flush by default.
-pub const DEFAULT_FLUSH_FRAMES: usize = 256;
-
 /// How many buffered bytes trigger a [`BinarySink`] flush by default.
 pub const DEFAULT_FLUSH_BYTES: usize = 64 * 1024;
 
 /// Batching binary trace file sink.
 ///
 /// Frames accumulate in an internal buffer and reach the file in batches:
-/// a write is issued when either `max_frames` frames or `max_bytes` bytes
-/// are pending, whichever comes first, so a traced epoch loop performs a
-/// handful of syscalls instead of one per event. The stream opens with
-/// the wire header (magic + schema version) so readers can sniff the
-/// format.
+/// a write is issued once `max_bytes` bytes are pending, so a traced
+/// epoch loop performs one syscall per batch instead of one per event,
+/// however small its frames are. A run killed before it flushes or closes
+/// the sink loses the pending batch, up to `max_bytes` of frames (64 KiB
+/// by default); a reader keeps every frame written whole before it
+/// ([`crate::wire::decode_stream`]). The stream opens with the wire
+/// header (magic + schema version) so readers can sniff the format.
 ///
 /// Write errors never panic and never interrupt the run; they increment
 /// [`BinarySink::failed_writes`], which callers check at close time.
@@ -54,34 +53,26 @@ pub const DEFAULT_FLUSH_BYTES: usize = 64 * 1024;
 pub struct BinarySink {
     file: File,
     buf: Vec<u8>,
-    pending_frames: usize,
-    max_frames: usize,
     max_bytes: usize,
     failed_writes: u64,
 }
 
 impl BinarySink {
-    /// Create (truncate) the binary trace file at `path` with the default
-    /// flush thresholds, writing the stream header.
+    /// Create (truncate) the binary trace file at `path`, flushing every
+    /// [`DEFAULT_FLUSH_BYTES`], and write the stream header.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Self::with_thresholds(path, DEFAULT_FLUSH_FRAMES, DEFAULT_FLUSH_BYTES)
+        Self::with_threshold(path, DEFAULT_FLUSH_BYTES)
     }
 
-    /// Create the trace file with explicit flush thresholds (both clamped
-    /// to at least one frame / one byte).
-    pub fn with_thresholds(
-        path: impl AsRef<Path>,
-        max_frames: usize,
-        max_bytes: usize,
-    ) -> std::io::Result<Self> {
+    /// Create the trace file flushing once `max_bytes` bytes (at least
+    /// one) are pending.
+    pub fn with_threshold(path: impl AsRef<Path>, max_bytes: usize) -> std::io::Result<Self> {
         let file = File::create(path)?;
         let mut buf = Vec::with_capacity(max_bytes.clamp(1, 1 << 20));
         wire::write_stream_header(&mut buf);
         Ok(Self {
             file,
             buf,
-            pending_frames: 0,
-            max_frames: max_frames.max(1),
             max_bytes: max_bytes.max(1),
             failed_writes: 0,
         })
@@ -100,7 +91,6 @@ impl BinarySink {
             self.failed_writes += 1;
         }
         self.buf.clear();
-        self.pending_frames = 0;
     }
 
     /// Flush and close, reporting the first deferred I/O failure.
@@ -120,8 +110,7 @@ impl BinarySink {
 impl TraceSink for BinarySink {
     fn write_frame(&mut self, frame: &[u8]) {
         self.buf.extend_from_slice(frame);
-        self.pending_frames += 1;
-        if self.pending_frames >= self.max_frames || self.buf.len() >= self.max_bytes {
+        if self.buf.len() >= self.max_bytes {
             self.drain();
         }
     }
@@ -310,7 +299,7 @@ mod tests {
         let dir = std::env::temp_dir().join("clip_obs_sink_test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("trace.bin");
-        let mut sink = BinarySink::with_thresholds(&path, 2, 1 << 16).expect("create");
+        let mut sink = BinarySink::with_threshold(&path, 64).expect("create");
         for seq in 0..5u64 {
             sink.write_frame(&frame(seq));
         }
@@ -325,14 +314,14 @@ mod tests {
     }
 
     #[test]
-    fn binary_sink_batches_until_thresholds() {
+    fn binary_sink_batches_until_threshold() {
         let dir = std::env::temp_dir().join("clip_obs_sink_test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("batch.bin");
         {
-            let mut sink = BinarySink::with_thresholds(&path, 1000, 1 << 20).expect("create");
+            let mut sink = BinarySink::with_threshold(&path, 1 << 20).expect("create");
             sink.write_frame(&frame(0));
-            // Below both thresholds: nothing past the header reaches disk
+            // Below the threshold: nothing past the header reaches disk
             // until an explicit flush.
             let on_disk = std::fs::metadata(&path).expect("stat").len();
             assert_eq!(on_disk, 0, "batched frame must still be pending");
@@ -341,6 +330,31 @@ mod tests {
             assert!(flushed > 0);
             sink.close().expect("close");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The default sink writes nothing until 64 KiB are pending, however
+    /// many frames that takes, and then writes them all at once.
+    #[test]
+    fn binary_sink_issues_no_write_before_64_kib() {
+        let dir = std::env::temp_dir().join("clip_obs_sink_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("default.bin");
+        let mut sink = BinarySink::create(&path).expect("create");
+        let mut pending = wire::MAGIC.len() + 2;
+        let mut seq = 0;
+        while pending + frame(seq).len() < DEFAULT_FLUSH_BYTES {
+            sink.write_frame(&frame(seq));
+            pending += frame(seq).len();
+            seq += 1;
+        }
+        assert!(seq > 256, "{seq} frames fit under the threshold");
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), 0);
+        sink.write_frame(&frame(seq));
+        pending += frame(seq).len();
+        let on_disk = std::fs::metadata(&path).expect("stat").len();
+        assert_eq!(on_disk, pending as u64, "the batch reaches disk whole");
+        sink.close().expect("close");
         std::fs::remove_file(&path).ok();
     }
 }

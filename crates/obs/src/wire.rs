@@ -358,68 +358,75 @@ quantity_codec! {
 // Frames
 // ---------------------------------------------------------------------------
 
-/// Frame encoder with an internal payload scratch buffer, so encoding a
-/// record costs zero allocations at steady state: both the scratch and
-/// the caller's frame buffer are reused across calls.
-#[derive(Debug, Default)]
-pub struct FrameEncoder {
-    payload: Vec<u8>,
+/// Encode one record as a complete frame into `out` (cleared first):
+/// varint payload length, payload, FNV-1a32 payload checksum. The hot
+/// path hands in one reused buffer, so encoding allocates nothing once
+/// that buffer has grown past the longest frame.
+pub fn encode_into(seq: u64, epoch: u64, event: &TraceEvent, out: &mut Vec<u8>) {
+    frame_into(seq, epoch, out, |payload| event.put(payload));
 }
 
-impl FrameEncoder {
-    /// A fresh encoder. The scratch is pre-sized past every fixed-size
-    /// event so steady-state encoding (and the first few frames) never
-    /// reallocates it.
-    pub fn new() -> Self {
-        Self {
-            payload: Vec::with_capacity(256),
+/// Encode a [`TraceEvent::MetricsSnapshot`] frame directly from a
+/// registry reference — byte-identical to building the owning event and
+/// calling [`encode_into`], without cloning the registry (closing a
+/// recorder stays cheap however many metrics it holds).
+pub fn encode_metrics_snapshot_into(
+    seq: u64,
+    epoch: u64,
+    metrics: &MetricRegistry,
+    out: &mut Vec<u8>,
+) {
+    frame_into(seq, epoch, out, |payload| {
+        payload.push(tag::MetricsSnapshot);
+        metrics.put(payload);
+    });
+}
+
+/// Write one frame into `out` (cleared first) in one pass: a one-byte
+/// length placeholder, the payload (`seq`, `epoch`, then the event's tag
+/// and fields, which `event` appends), and the FNV-1a32 of the payload.
+/// A payload of 128 bytes or more needs a longer varint than the
+/// placeholder, so the payload moves once to make room for it; of the
+/// trace's events only a `MetricsSnapshot` is that long in practice.
+fn frame_into(seq: u64, epoch: u64, out: &mut Vec<u8>, event: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.push(0);
+    seq.put(out);
+    epoch.put(out);
+    event(out);
+    let end = out.len();
+    let payload_len = end - 1;
+    let prefix_len = match u8::try_from(payload_len) {
+        Ok(len) if len < 0x80 => {
+            if let Some(placeholder) = out.first_mut() {
+                *placeholder = len;
+            }
+            1
         }
-    }
-
-    /// Encode one record as a complete frame into `out` (cleared first):
-    /// varint payload length, payload, FNV-1a32 payload checksum.
-    pub fn encode(&mut self, seq: u64, epoch: u64, event: &TraceEvent, out: &mut Vec<u8>) {
-        self.frame(seq, epoch, out, |payload| event.put(payload));
-    }
-
-    /// Encode a [`TraceEvent::MetricsSnapshot`] frame directly from a
-    /// registry reference — byte-identical to building the owning event
-    /// and calling [`encode`](Self::encode), without cloning the registry
-    /// (closing a recorder stays cheap however many metrics it holds).
-    pub fn encode_metrics_snapshot(
-        &mut self,
-        seq: u64,
-        epoch: u64,
-        metrics: &MetricRegistry,
-        out: &mut Vec<u8>,
-    ) {
-        self.frame(seq, epoch, out, |payload| {
-            payload.push(tag::MetricsSnapshot);
-            metrics.put(payload);
-        });
-    }
-
-    /// Write `seq`, `epoch` and then `event`'s tag and fields into the
-    /// scratch payload, and wrap it as one frame in `out`.
-    fn frame(&mut self, seq: u64, epoch: u64, out: &mut Vec<u8>, event: impl FnOnce(&mut Vec<u8>)) {
-        let payload = &mut self.payload;
-        payload.clear();
-        seq.put(payload);
-        epoch.put(payload);
-        event(payload);
-        out.clear();
-        payload.len().put(out);
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
-    }
+        _ => {
+            // Write the length's varint past the payload, then move it
+            // into the placeholder's place.
+            payload_len.put(out);
+            let mut prefix = [0u8; 10];
+            let varint = out.get(end..).unwrap_or_default();
+            let prefix_len = varint.len();
+            for (to, &from) in prefix.iter_mut().zip(varint) {
+                *to = from;
+            }
+            out.truncate(end);
+            out.splice(..1, prefix.into_iter().take(prefix_len));
+            prefix_len
+        }
+    };
+    let checksum = fnv1a32(out.get(prefix_len..).unwrap_or_default());
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Encode one record as a standalone frame (convenience for tests and
-/// cold paths; the hot path holds a [`FrameEncoder`]).
+/// cold paths; the hot path reuses its buffer through [`encode_into`]).
 pub fn encode_frame(record: &TraceRecord) -> Vec<u8> {
-    let mut enc = FrameEncoder::new();
     let mut out = Vec::new();
-    enc.encode(record.seq, record.epoch, &record.event, &mut out);
+    encode_into(record.seq, record.epoch, &record.event, &mut out);
     out
 }
 
@@ -614,6 +621,196 @@ mod tests {
                 "seq varint {seq:02x?}"
             );
         }
+    }
+
+    /// A frame built as the encoder once built it, in two passes: the
+    /// payload into a scratch buffer, then its length, the payload and
+    /// its checksum.
+    fn two_pass(seq: u64, epoch: u64, event: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = Vec::new();
+        seq.put(&mut payload);
+        epoch.put(&mut payload);
+        event(&mut payload);
+        let mut frame = Vec::new();
+        payload.len().put(&mut frame);
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
+        frame
+    }
+
+    /// One event of every kind, with short payloads.
+    fn one_of_each_kind() -> Vec<TraceEvent> {
+        use crate::event::{ActuationTag, RejectTag};
+        let (w, s) = (Power::watts, TimeSpan::secs);
+        let tenant = || "batch".to_string();
+        vec![
+            TraceEvent::RunStarted {
+                scheduler: "CLIP".to_string(),
+                budget: w(1500.0),
+                nodes: 8,
+                epochs: 6,
+            },
+            TraceEvent::CoordinateMeasured {
+                pool: vec![0, 3, 200],
+                spread: 0.125,
+                engaged: true,
+            },
+            TraceEvent::AllocateChosen {
+                nodes: 6,
+                threads: 24,
+                per_node_cap: w(187.5),
+            },
+            TraceEvent::PlanComputed {
+                scheduler: "Oracle".to_string(),
+                nodes: 5,
+                threads_per_node: 12,
+                caps_total: w(1199.5),
+            },
+            TraceEvent::PlanNode {
+                node: 2,
+                cpu: w(150.0),
+                dram: w(40.0),
+            },
+            TraceEvent::FaultApplied {
+                node: 1,
+                kind: FaultTag::Straggler { factor: 1.75 },
+                impact: ImpactTag::ActuationOnly,
+            },
+            TraceEvent::Recovered {
+                fault_epoch: 2,
+                recovered_epoch: 3,
+                time_to_recover: s(12.5),
+                reclaimed: w(190.0),
+            },
+            TraceEvent::RaplProgrammed {
+                node: 4,
+                cpu: w(130.0),
+                dram: w(35.0),
+                effective_cpu: w(126.1),
+            },
+            TraceEvent::DvfsResolved {
+                node: 1,
+                threads: 16,
+                frequency: Frequency::ghz(1.9),
+                throttled: true,
+            },
+            TraceEvent::NodePowerSample {
+                node: 7,
+                setpoint: w(165.0),
+                measured: w(158.25),
+                wait_fraction: 0.0375,
+            },
+            TraceEvent::ActuationAudited {
+                budget: w(900.0),
+                measured: w(912.5),
+                verdict: ActuationTag::InjectedJitter,
+            },
+            sample().event,
+            TraceEvent::JobDispatched {
+                job: "miniMD".to_string(),
+                start: s(60.0),
+                nodes: 4,
+                granted: w(640.0),
+            },
+            TraceEvent::ShardRunStarted {
+                budget: w(1_750_000.0),
+                racks: 100,
+                nodes: 10_000,
+                epochs: 60,
+            },
+            TraceEvent::RackGranted {
+                rack: 17,
+                granted: w(17_500.0),
+                demand: w(16_875.0),
+                alive: 99,
+            },
+            TraceEvent::RackCrashed {
+                rack: 3,
+                at_epoch: 2,
+                reclaimed: w(2200.0),
+            },
+            TraceEvent::JobArrived {
+                job: 41,
+                tenant: tenant(),
+                app: "CoMD".to_string(),
+                iterations: 5000,
+            },
+            TraceEvent::JobAdmitted {
+                job: 42,
+                tenant: tenant(),
+                queued: 3,
+                degraded: true,
+            },
+            TraceEvent::JobRejected {
+                job: 43,
+                tenant: tenant(),
+                reason: RejectTag::SloHopeless,
+            },
+            TraceEvent::JobPreempted {
+                job: 45,
+                tenant: tenant(),
+                by: 46,
+                remaining_iterations: 1234,
+            },
+            TraceEvent::PoolScaled {
+                nodes_before: 6,
+                nodes_after: 8,
+                granted: w(1400.0),
+            },
+            TraceEvent::SloEvaluated {
+                job: 47,
+                tenant: tenant(),
+                latency: s(95.5),
+                slo: s(120.0),
+                met: true,
+            },
+            TraceEvent::MetricsSnapshot {
+                metrics: MetricRegistry::new(),
+            },
+        ]
+    }
+
+    /// The one-pass frame is the two-pass frame, bit for bit, for an
+    /// event of every kind, for payloads on both sides of the one-,
+    /// two- and three-byte length varints (127/128 and 16,383/16,384
+    /// bytes), and for a metrics snapshot longer than 16 KiB.
+    #[test]
+    fn one_pass_frames_equal_two_pass_frames() {
+        let mut out = Vec::new();
+        let mut check = |seq: u64, epoch: u64, event: TraceEvent| {
+            encode_into(seq, epoch, &event, &mut out);
+            assert_eq!(out, two_pass(seq, epoch, |p| event.put(p)), "{event:?}");
+            let record = TraceRecord { seq, epoch, event };
+            assert_eq!(decode_frame(&out), Ok((record, &[][..])));
+        };
+        for (i, event) in one_of_each_kind().into_iter().enumerate() {
+            check(i as u64, 300 + i as u64, event);
+        }
+        // At these field values `RunStarted`'s payload is its scheduler
+        // name plus 13 to 15 bytes, so these names put it across 128 and
+        // 16,384 bytes.
+        for name in (100..130).chain(16_350..16_390) {
+            let event = TraceEvent::RunStarted {
+                scheduler: "x".repeat(name),
+                budget: Power::watts(1500.0),
+                nodes: 8,
+                epochs: 6,
+            };
+            check(0, 0, event);
+        }
+        let mut metrics = MetricRegistry::new();
+        for i in 0..2_000 {
+            metrics.counter_add(&format!("counter_{i:04}"), i);
+        }
+        let mut snapshot = Vec::new();
+        encode_metrics_snapshot_into(7, u64::MAX, &metrics, &mut snapshot);
+        assert!(snapshot.len() > 16_384);
+        let reference = two_pass(7, u64::MAX, |p| {
+            p.push(tag::MetricsSnapshot);
+            metrics.put(p);
+        });
+        assert_eq!(snapshot, reference);
+        check(7, u64::MAX, TraceEvent::MetricsSnapshot { metrics });
     }
 
     #[test]

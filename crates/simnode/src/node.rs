@@ -405,12 +405,12 @@ impl Node {
         }
     }
 
-    /// Repeat `last`, this node's previous execution, without simulating
-    /// it again: the same timing, powers, PMU counters and operating point,
-    /// with the interval accounted through the RAPL counters as
-    /// [`Node::execute`] accounts it. The energies are the new counter
-    /// deltas, which can differ from `last`'s in the last unit, since the
-    /// registers count whole units.
+    /// Repeat `last`, an earlier execution on this node, without
+    /// simulating it again: the same timing, powers, PMU counters and
+    /// operating point, with the interval accounted through the RAPL
+    /// counters as [`Node::execute`] accounts it. The energies are the new
+    /// counter deltas, which can differ from `last`'s in the last unit,
+    /// since the registers count whole units.
     ///
     /// Exact only when `execute` would reproduce `last`: the same
     /// workload, threads, policy and iterations, under the same caps and

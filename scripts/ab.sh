@@ -20,8 +20,9 @@
 #
 # The summary gives, per end-to-end metric of BENCHMARK.json, each side's
 # median and interquartile range (exclusive quartiles, as the benchmark
-# computes them), the ratio of the medians (change / base), and in how
-# many pairs the change was better.
+# computes them), the ratio of the medians (change / base), the median of
+# the per-pair ratios (each pair's change / base), and in how many pairs
+# the change was better.
 #
 # Exits 1 as soon as a run reports failed rounds, 2 on a usage error.
 set -euo pipefail
@@ -128,16 +129,19 @@ def spread(values):
     q1, _, q3 = statistics.quantiles(values, n=4)
     return statistics.median(values), q1, q3
 
-rows = [("metric", "base median [q1, q3]", "change median [q1, q3]", "ratio", "led")]
+rows = [(
+    "metric", "base median [q1, q3]", "change median [q1, q3]", "ratio", "pair ratio", "led",
+)]
 for metric in bench["end_to_end"]:
     name, higher = metric["name"], metric["better"] == "higher"
     base = [m[name]["value"] for m in results["base"]]
     change = [m[name]["value"] for m in results["change"]]
     led = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+    pair_ratio = statistics.median(c / b if b else float("nan") for b, c in zip(base, change))
     (bm, b1, b3), (cm, c1, c3) = spread(base), spread(change)
     rows.append((
         name, f"{bm:.6g} [{b1:.6g}, {b3:.6g}]", f"{cm:.6g} [{c1:.6g}, {c3:.6g}]",
-        f"{cm / bm:.4f}", f"{led}/{pairs}",
+        f"{cm / bm:.4f}", f"{pair_ratio:.4f}", f"{led}/{pairs}",
     ))
 widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
 print(f"\n{workload} at seed {seed}, {pairs} pairs of {seconds} s")

@@ -135,10 +135,10 @@ import json, subprocess, sys
 
 # workload: (plan.allocs_per_call, alloc.per_epoch)
 CEILINGS = {
-    "fleet": (13.39, 27.62),
-    "service": (5.07, 10.56),
-    "service_traced": (5.46, 17.16),
-    "paper_grid": (11.20, 18.20),
+    "fleet": (11.39, 23.52),
+    "service": (3.07, 6.85),
+    "service_traced": (3.46, 13.45),
+    "paper_grid": (10.80, 17.80),
 }
 bench = json.load(open("BENCHMARK.json"))
 for workload in bench["workloads"]:
